@@ -42,22 +42,21 @@ const GetpidIterations = 100_000
 // Getpid measures the mean time of one getpid() call over the benchmark's
 // loop, per §4.
 func Getpid(plat Platform, p *osprofile.Profile) sim.Duration {
-	return getpidOn(kernel.MustMachine(plat.CPU, p, sim.NewRNG(0)))
+	return getpidOn(kernel.MustMachine(p, 1))
 }
 
 // getpidOn runs the getpid loop on a prepared machine (possibly observed).
+// Timing starts once the loop process is dispatched: the initial dispatch
+// is not part of the loop.
 func getpidOn(m *kernel.Machine) sim.Duration {
-	start := m.Now()
-	var dispatch sim.Duration
-	m.Spawn("getpid-loop", func(pr *kernel.Proc) {
-		dispatch = m.Now().Sub(start) // initial dispatch is not part of the loop
-		for i := 0; i < GetpidIterations; i++ {
-			pr.Getpid()
-		}
+	var start sim.Time
+	m.Spawn("getpid-loop", kernel.Program{
+		Pre:   []kernel.Op{{Kind: kernel.OpMark, At: &start}},
+		Body:  []kernel.Op{{Kind: kernel.OpSyscall}},
+		Loops: GetpidIterations,
 	})
 	m.Run()
-	total := m.Now().Sub(start) - dispatch
-	return total / GetpidIterations
+	return m.Now().Sub(start) / GetpidIterations
 }
 
 // CtxSwitches is the per-run switch count of the ctx benchmark
@@ -83,7 +82,7 @@ func Ctx(plat Platform, p *osprofile.Profile, nproc int, order CtxOrder) sim.Dur
 	if nproc < 2 {
 		panic("bench: ctx needs at least two processes")
 	}
-	return ctxOn(kernel.MustMachine(plat.CPU, p, sim.NewRNG(0)), nproc, order)
+	return ctxOn(kernel.MustMachine(p, 1), nproc, order)
 }
 
 // ctxOn runs the ctx benchmark on a prepared machine (possibly observed).
@@ -107,7 +106,8 @@ func ctxOn(m *kernel.Machine, nproc int, order CtxOrder) sim.Duration {
 }
 
 // ctxRing builds the ring: process i reads from pipe i and writes to pipe
-// (i+1) mod n. The token makes hops/n laps.
+// (i+1) mod n. The token makes hops/n laps. Process 0 injects the token
+// on its first lap — timing starts there — and absorbs it after its last.
 func ctxRing(m *kernel.Machine, nproc, hops int) sim.Duration {
 	pipes := make([]*kernel.Pipe, nproc)
 	for i := range pipes {
@@ -118,32 +118,22 @@ func ctxRing(m *kernel.Machine, nproc, hops int) sim.Duration {
 		laps = 1
 	}
 	var start sim.Time
-	started := false
 	for i := 0; i < nproc; i++ {
-		i := i
-		m.Spawn("ring", func(pr *kernel.Proc) {
-			for lap := 0; lap < laps; lap++ {
-				if i == 0 && lap == 0 {
-					// Timing starts when the token is first injected,
-					// after all processes have been dispatched once.
-					start = m.Now()
-					started = true
-				} else {
-					pr.ReadFull(pipes[i], 1)
-				}
-				pr.Write(pipes[(i+1)%nproc], 1)
+		read := readOp(pipes[i])
+		write := writeOp(pipes[(i+1)%nproc])
+		prog := kernel.Program{Body: []kernel.Op{read, write}, Loops: laps}
+		if i == 0 {
+			prog = kernel.Program{
+				Pre:   []kernel.Op{{Kind: kernel.OpMark, At: &start}, write},
+				Body:  prog.Body,
+				Loops: laps - 1,
+				Post:  []kernel.Op{read},
 			}
-			if i == 0 {
-				pr.ReadFull(pipes[0], 1) // absorb the final token
-			}
-		})
+		}
+		m.Spawn("ring", prog)
 	}
 	m.Run()
-	if !started {
-		panic("bench: ring never started")
-	}
-	total := m.Now().Sub(start)
-	return total / sim.Duration(laps*nproc)
+	return m.Now().Sub(start) / sim.Duration(laps*nproc)
 }
 
 // ctxLIFO builds the chain: the token travels 0→1→…→n-1 and back. One
@@ -162,33 +152,40 @@ func ctxLIFO(m *kernel.Machine, nproc, hops int) sim.Duration {
 	}
 	var start sim.Time
 	for i := 0; i < nproc; i++ {
-		i := i
-		m.Spawn("chain", func(pr *kernel.Proc) {
-			for trip := 0; trip < trips; trip++ {
-				switch {
-				case i == 0:
-					if trip == 0 {
-						start = m.Now()
-					} else {
-						pr.ReadFull(down[0], 1)
-					}
-					pr.Write(up[0], 1)
-				case i == nproc-1:
-					pr.ReadFull(up[i-1], 1)
-					pr.Write(down[i-1], 1)
-				default:
-					pr.ReadFull(up[i-1], 1)
-					pr.Write(up[i], 1)
-					pr.ReadFull(down[i], 1)
-					pr.Write(down[i-1], 1)
-				}
+		var prog kernel.Program
+		switch {
+		case i == 0:
+			prog = kernel.Program{
+				Pre:   []kernel.Op{{Kind: kernel.OpMark, At: &start}, writeOp(up[0])},
+				Body:  []kernel.Op{readOp(down[0]), writeOp(up[0])},
+				Loops: trips - 1,
+				Post:  []kernel.Op{readOp(down[0])},
 			}
-			if i == 0 {
-				pr.ReadFull(down[0], 1)
+		case i == nproc-1:
+			prog = kernel.Program{
+				Body:  []kernel.Op{readOp(up[i-1]), writeOp(down[i-1])},
+				Loops: trips,
 			}
-		})
+		default:
+			prog = kernel.Program{
+				Body: []kernel.Op{
+					readOp(up[i-1]), writeOp(up[i]),
+					readOp(down[i]), writeOp(down[i-1]),
+				},
+				Loops: trips,
+			}
+		}
+		m.Spawn("chain", prog)
 	}
 	m.Run()
-	total := m.Now().Sub(start)
-	return total / sim.Duration(trips*2*(nproc-1))
+	return m.Now().Sub(start) / sim.Duration(trips*2*(nproc-1))
+}
+
+// readOp and writeOp are the one-byte token moves of the ctx programs.
+func readOp(pp *kernel.Pipe) kernel.Op {
+	return kernel.Op{Kind: kernel.OpPipeRead, P: pp, N: 1}
+}
+
+func writeOp(pp *kernel.Pipe) kernel.Op {
+	return kernel.Op{Kind: kernel.OpPipeWrite, P: pp, N: 1}
 }

@@ -19,17 +19,18 @@ import (
 // back to the same process: one write(2) plus one read(2) with no context
 // switch, §5's isolation of pipe overhead from scheduling.
 func SelfPipe(plat Platform, p *osprofile.Profile) sim.Duration {
-	m := kernel.MustMachine(plat.CPU, p, sim.NewRNG(0))
+	m := kernel.MustMachine(p, 1)
 	pipe := m.NewPipe()
 	const iters = 1000
 	var start, end sim.Time
-	m.Spawn("selfpipe", func(pr *kernel.Proc) {
-		start = m.Now()
-		for i := 0; i < iters; i++ {
-			pr.Write(pipe, 1)
-			pr.ReadFull(pipe, 1)
-		}
-		end = m.Now()
+	m.Spawn("selfpipe", kernel.Program{
+		Pre: []kernel.Op{{Kind: kernel.OpMark, At: &start}},
+		Body: []kernel.Op{
+			{Kind: kernel.OpPipeWrite, P: pipe, N: 1},
+			{Kind: kernel.OpPipeRead, P: pipe, N: 1},
+		},
+		Loops: iters,
+		Post:  []kernel.Op{{Kind: kernel.OpMark, At: &end}},
 	})
 	m.Run()
 	return end.Sub(start) / iters
@@ -38,18 +39,18 @@ func SelfPipe(plat Platform, p *osprofile.Profile) sim.Duration {
 // LatProc measures process creation: the time for fork+exit (when exec is
 // false) or fork+exec+exit (when true), lmbench's lat_proc.
 func LatProc(plat Platform, p *osprofile.Profile, exec bool) sim.Duration {
-	m := kernel.MustMachine(plat.CPU, p, sim.NewRNG(0))
+	m := kernel.MustMachine(p, 1)
 	const iters = 100
 	var start, end sim.Time
-	m.Spawn("lat_proc", func(pr *kernel.Proc) {
-		start = m.Now()
-		for i := 0; i < iters; i++ {
-			pr.ChargeFork()
-			if exec {
-				pr.ChargeExec()
-			}
-		}
-		end = m.Now()
+	body := []kernel.Op{{Kind: kernel.OpFork}}
+	if exec {
+		body = append(body, kernel.Op{Kind: kernel.OpExec})
+	}
+	m.Spawn("lat_proc", kernel.Program{
+		Pre:   []kernel.Op{{Kind: kernel.OpMark, At: &start}},
+		Body:  body,
+		Loops: iters,
+		Post:  []kernel.Op{{Kind: kernel.OpMark, At: &end}},
 	})
 	m.Run()
 	return end.Sub(start) / iters
@@ -80,24 +81,23 @@ func LatFSCreate(plat Platform, p *osprofile.Profile, seed uint64) sim.Duration 
 // Ctx it uses exactly two processes and reports the round trip rather
 // than the per-switch time.
 func LatPipe(plat Platform, p *osprofile.Profile) sim.Duration {
-	m := kernel.MustMachine(plat.CPU, p, sim.NewRNG(0))
+	m := kernel.MustMachine(p, 1)
 	ping, pong := m.NewPipe(), m.NewPipe()
 	const iters = 1000
 	var start, end sim.Time
-	m.Spawn("lat_pipe-parent", func(pr *kernel.Proc) {
-		start = m.Now()
-		for i := 0; i < iters; i++ {
-			pr.Write(ping, 1)
-			pr.ReadFull(pong, 1)
-		}
-		end = m.Now()
+	m.Spawn("lat_pipe-parent", kernel.Program{
+		Pre: []kernel.Op{{Kind: kernel.OpMark, At: &start}},
+		Body: []kernel.Op{
+			{Kind: kernel.OpPipeWrite, P: ping, N: 1},
+			{Kind: kernel.OpPipeRead, P: pong, N: 1},
+		},
+		Loops: iters,
+		Post:  []kernel.Op{{Kind: kernel.OpMark, At: &end}},
 	})
-	m.Spawn("lat_pipe-child", func(pr *kernel.Proc) {
-		for i := 0; i < iters; i++ {
-			pr.ReadFull(ping, 1)
-			pr.Write(pong, 1)
-		}
-	})
+	m.SpawnThread("lat_pipe-child", []kernel.Op{
+		{Kind: kernel.OpPipeRead, P: ping, N: 1},
+		{Kind: kernel.OpPipeWrite, P: pong, N: 1},
+	}, iters)
 	m.Run()
 	return end.Sub(start) / iters
 }

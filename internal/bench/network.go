@@ -17,8 +17,7 @@ const (
 // BwPipe measures pipe bandwidth in megabits per second (Table 4) by
 // running the two-process transfer on the simulated kernel.
 func BwPipe(plat Platform, p *osprofile.Profile) float64 {
-	m := kernel.MustMachine(plat.CPU, p, sim.NewRNG(0))
-	return netstack.BandwidthMbps(BwPipeTotal, bwPipeOn(m))
+	return netstack.BandwidthMbps(BwPipeTotal, bwPipeOn(kernel.MustMachine(p, 1)))
 }
 
 // bwPipeOn runs the bw_pipe transfer on a prepared machine (possibly
@@ -26,15 +25,12 @@ func BwPipe(plat Platform, p *osprofile.Profile) float64 {
 func bwPipeOn(m *kernel.Machine) sim.Duration {
 	pipe := m.NewPipe()
 	var start sim.Time
-	m.Spawn("bw_pipe-writer", func(pr *kernel.Proc) {
-		start = m.Now()
-		for sent := 0; sent < BwPipeTotal; sent += BwPipeChunk {
-			pr.Write(pipe, BwPipeChunk)
-		}
+	m.Spawn("bw_pipe-writer", kernel.Program{
+		Pre:   []kernel.Op{{Kind: kernel.OpMark, At: &start}},
+		Body:  []kernel.Op{{Kind: kernel.OpPipeWrite, P: pipe, N: BwPipeChunk}},
+		Loops: (BwPipeTotal + BwPipeChunk - 1) / BwPipeChunk,
 	})
-	m.Spawn("bw_pipe-reader", func(pr *kernel.Proc) {
-		pr.ReadFull(pipe, BwPipeTotal)
-	})
+	m.SpawnThread("bw_pipe-reader", []kernel.Op{{Kind: kernel.OpPipeRead, P: pipe, N: BwPipeTotal}}, 1)
 	m.Run()
 	return m.Now().Sub(start)
 }

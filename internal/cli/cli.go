@@ -178,8 +178,9 @@ func flagRangeError(runs, workers, procs, trials, top, clients, nfsd, exemplars 
 		return fmt.Sprintf("-runs must be positive (got %d)", runs)
 	case workers < 0:
 		return fmt.Sprintf("-j must be >= 0, 0 meaning GOMAXPROCS (got %d)", workers)
-	case procs < 0:
-		return fmt.Sprintf("-procs must be >= 0 (got %d)", procs)
+	case procs < 0 || procs == 1:
+		// Every -procs consumer is a token ring, which needs a peer.
+		return fmt.Sprintf("-procs must be 0 (default) or >= 2 (got %d)", procs)
 	case trials <= 0:
 		return fmt.Sprintf("-trials must be positive (got %d)", trials)
 	case top < 0:
@@ -858,14 +859,9 @@ func (a *App) traceTimeline(cfg core.Config, procs int) int {
 	if procs == 0 {
 		procs = 3
 	}
-	if procs < 2 {
-		fmt.Fprintln(a.Stderr, "pentiumbench: trace needs -procs >= 2")
-		return 2
-	}
-	plat := bench.PaperPlatform()
 	for _, p := range cfg.Profiles {
 		fmt.Fprintf(a.Stdout, "%s — one %d-process token-ring lap:\n", p, procs)
-		m, err := kernel.NewMachine(plat.CPU, p, sim.NewRNG(cfg.Seed))
+		m, err := kernel.NewMachine(p, 1)
 		if err != nil {
 			fmt.Fprintln(a.Stderr, "pentiumbench:", err)
 			return 1
@@ -876,16 +872,13 @@ func (a *App) traceTimeline(cfg core.Config, procs int) int {
 			pipes[i] = m.NewPipe()
 		}
 		for i := 0; i < procs; i++ {
-			i := i
-			m.Spawn(fmt.Sprintf("ring%d", i), func(pr *kernel.Proc) {
-				if i != 0 {
-					pr.ReadFull(pipes[i], 1)
-				}
-				pr.Write(pipes[(i+1)%procs], 1)
-				if i == 0 {
-					pr.ReadFull(pipes[0], 1)
-				}
-			})
+			read := kernel.Op{Kind: kernel.OpPipeRead, P: pipes[i], N: 1}
+			write := kernel.Op{Kind: kernel.OpPipeWrite, P: pipes[(i+1)%procs], N: 1}
+			ops := []kernel.Op{read, write}
+			if i == 0 {
+				ops = []kernel.Op{write, read}
+			}
+			m.SpawnThread(fmt.Sprintf("ring%d", i), ops, 1)
 		}
 		if err := m.RunChecked(); err != nil {
 			var d *sim.DeadlockError

@@ -118,7 +118,9 @@ func TestNumericFlagRangeErrors(t *testing.T) {
 		{"runs zero", []string{"-runs", "0", "run", "T2"}, "-runs must be positive"},
 		{"runs negative", []string{"-runs", "-3", "run", "T2"}, "-runs must be positive"},
 		{"j negative", []string{"-j", "-1", "run", "T2"}, "-j must be >= 0"},
-		{"procs negative", []string{"-procs", "-4", "trace"}, "-procs must be >= 0"},
+		{"procs negative", []string{"-procs", "-4", "trace"}, "-procs must be 0 (default) or >= 2"},
+		{"procs one trace", []string{"-procs", "1", "trace"}, "-procs must be 0 (default) or >= 2"},
+		{"procs one metrics", []string{"metrics", "F1", "-procs", "1"}, "-procs must be 0 (default) or >= 2"},
 		{"trials zero", []string{"-trials", "0", "sensitivity"}, "-trials must be positive"},
 		{"top negative", []string{"-top", "-1", "profile", "F12"}, "-top must be >= 0"},
 		{"clients negative", []string{"-clients", "-5", "scale"}, "-clients must be >= 0"},

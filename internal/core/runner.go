@@ -64,9 +64,30 @@ func parallelFor(cfg Config, n int, f func(int)) {
 	}
 	pool.innerJobs.Add(int64(n))
 	var idx atomic.Int64
+	// A panicking task must not kill the process from a helper
+	// goroutine, where no caller can recover it: each worker stops at
+	// its first panic and records it, and the panic of the lowest failing
+	// index is re-raised on the calling goroutine once every worker is
+	// done. Indices are claimed in order and a worker only stops at a
+	// panic, so that index is the same at any pool size.
+	var (
+		mu      sync.Mutex
+		failAt  = n
+		failVal any
+	)
 	work := func() {
+		i := -1
+		defer func() {
+			if r := recover(); r != nil {
+				mu.Lock()
+				if i < failAt {
+					failAt, failVal = i, r
+				}
+				mu.Unlock()
+			}
+		}()
 		for {
-			i := int(idx.Add(1)) - 1
+			i = int(idx.Add(1)) - 1
 			if i >= n {
 				return
 			}
@@ -84,6 +105,9 @@ func parallelFor(cfg Config, n int, f func(int)) {
 	}
 	work()
 	wg.Wait()
+	if failAt < n {
+		panic(failVal)
+	}
 }
 
 // memSweep produces one §6 cache-hierarchy sweep, fanning the points out

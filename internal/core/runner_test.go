@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -153,6 +154,37 @@ func TestParallelForNeverDeadlocksWhenNested(t *testing.T) {
 	})
 	if count.Load() != 64 {
 		t.Fatalf("nested tasks = %d, want 64", count.Load())
+	}
+}
+
+// TestParallelForRepanicsOnCaller pins the helper-panic contract: a task
+// panicking on a pool helper goroutine is re-raised on the calling
+// goroutine (where the CLI's recover turns it into a one-line error)
+// after every worker finishes, and the value re-raised is the lowest
+// failing index's at any pool size.
+func TestParallelForRepanicsOnCaller(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		var cfg Config
+		if workers > 1 {
+			cfg.pool = newWorkPool(workers)
+		}
+		var ran atomic.Int32
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			parallelFor(cfg, 64, func(i int) {
+				ran.Add(1)
+				if i%10 == 7 {
+					panic(fmt.Sprintf("task %d failed", i))
+				}
+			})
+			return nil
+		}()
+		if got != "task 7 failed" {
+			t.Fatalf("workers=%d: re-raised %v, want the lowest failing index's panic", workers, got)
+		}
+		if workers > 1 && ran.Load() < 8 {
+			t.Fatalf("workers=%d: only %d tasks ran before the re-raise", workers, ran.Load())
+		}
 	}
 }
 

@@ -5,36 +5,32 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cpu"
 	"repro/internal/obs"
 	"repro/internal/osprofile"
 	"repro/internal/sim"
 )
 
-func newLinux() *Machine {
-	return MustMachine(cpu.PentiumP54C100(), osprofile.Linux128(), sim.NewRNG(1))
-}
-func newFreeBSD() *Machine {
-	return MustMachine(cpu.PentiumP54C100(), osprofile.FreeBSD205(), sim.NewRNG(1))
-}
-func newSolaris() *Machine {
-	return MustMachine(cpu.PentiumP54C100(), osprofile.Solaris24(), sim.NewRNG(1))
-}
+func newLinux() *Machine   { return MustMachine(osprofile.Linux128(), 1) }
+func newFreeBSD() *Machine { return MustMachine(osprofile.FreeBSD205(), 1) }
+func newSolaris() *Machine { return MustMachine(osprofile.Solaris24(), 1) }
+
+// Op constructors keep the test programs short.
+func write(pp *Pipe, n int) Op      { return Op{Kind: OpPipeWrite, P: pp, N: n} }
+func read(pp *Pipe, n int) Op       { return Op{Kind: OpPipeRead, P: pp, N: n} }
+func mark(at *sim.Time) Op          { return Op{Kind: OpMark, At: at} }
+func think(d sim.Duration) Op       { return Op{Kind: OpThink, D: d} }
+func once(ops ...Op) Program        { return Program{Body: ops, Loops: 1} }
+func loop(n int, ops ...Op) Program { return Program{Body: ops, Loops: n} }
 
 func TestGetpidChargesSyscall(t *testing.T) {
 	m := newLinux()
-	var pid int
-	m.Spawn("getpid", func(p *Proc) {
-		for i := 0; i < 1000; i++ {
-			pid = p.Getpid()
-		}
-	})
+	th := m.SpawnThread("getpid", []Op{{Kind: OpSyscall}}, 1000)
 	m.Run()
-	if pid == 0 {
-		t.Fatal("Getpid returned 0")
+	if th.TID() == 0 {
+		t.Fatal("thread has pid 0")
 	}
 	want := sim.Duration(1000 * int64(m.OS().Kernel.Syscall))
-	got := m.Now().Sub(0) - m.switchOverheadForOneProc()
+	got := m.Elapsed() - m.switchOverheadForOneProc()
 	if got != want {
 		t.Fatalf("1000 getpids took %v, want %v (plus initial dispatch)", got, want)
 	}
@@ -46,8 +42,7 @@ func (m *Machine) switchOverheadForOneProc() sim.Duration {
 	k := &m.OS().Kernel
 	cost := k.CtxBase
 	if k.Scheduler == osprofile.SchedScanAll {
-		// The process has exited by the time we compute this; it was the
-		// only task when dispatched.
+		// It was the only task when dispatched.
 		cost += k.CtxPerTask
 	}
 	return cost
@@ -55,24 +50,23 @@ func (m *Machine) switchOverheadForOneProc() sim.Duration {
 
 func TestProcsRunToCompletion(t *testing.T) {
 	m := newLinux()
-	ran := make([]bool, 5)
-	for i := 0; i < 5; i++ {
-		i := i
-		m.Spawn("worker", func(p *Proc) { ran[i] = true })
+	ran := make([]sim.Time, 5)
+	for i := range ran {
+		m.Spawn("worker", once(think(sim.Microsecond), mark(&ran[i])))
 	}
 	m.Run()
-	for i, r := range ran {
-		if !r {
-			t.Fatalf("process %d never ran", i)
+	for i, th := range m.Threads() {
+		if th.state != sDone || ran[i] == 0 {
+			t.Fatalf("process %d never ran to completion", i)
 		}
 	}
 }
 
 func TestPIDsAreUnique(t *testing.T) {
 	m := newLinux()
-	a := m.Spawn("a", func(p *Proc) {})
-	b := m.Spawn("b", func(p *Proc) {})
-	if a.PID() == b.PID() {
+	a := m.Spawn("a", Program{})
+	b := m.Spawn("b", Program{})
+	if a.TID() == b.TID() {
 		t.Fatal("duplicate PIDs")
 	}
 	if a.Name() != "a" || b.Name() != "b" {
@@ -84,16 +78,11 @@ func TestPIDsAreUnique(t *testing.T) {
 func TestPipeTransfersData(t *testing.T) {
 	m := newLinux()
 	pipe := m.NewPipe()
-	var got int
-	m.Spawn("writer", func(p *Proc) { p.Write(pipe, 10000) })
-	m.Spawn("reader", func(p *Proc) {
-		for got < 10000 {
-			got += p.Read(pipe, 4096)
-		}
-	})
+	m.Spawn("writer", once(write(pipe, 10000)))
+	reader := m.Spawn("reader", once(read(pipe, 10000)))
 	m.Run()
-	if got != 10000 {
-		t.Fatalf("reader got %d bytes, want 10000", got)
+	if reader.Iters != 1 {
+		t.Fatal("reader never finished its read")
 	}
 	if pipe.BytesTransferred != 10000 {
 		t.Fatalf("BytesTransferred = %d, want 10000", pipe.BytesTransferred)
@@ -106,34 +95,39 @@ func TestPipeTransfersData(t *testing.T) {
 func TestPipeBlocksWriterAtCapacity(t *testing.T) {
 	m := newLinux()
 	pipe := m.NewPipe()
-	cap := pipe.Capacity()
-	order := []string{}
-	m.Spawn("writer", func(p *Proc) {
-		p.Write(pipe, cap) // fits exactly, no block
-		order = append(order, "wrote-cap")
-		p.Write(pipe, 1) // must block until reader drains
-		order = append(order, "wrote-extra")
-	})
-	m.Spawn("reader", func(p *Proc) {
-		order = append(order, "reading")
-		p.ReadFull(pipe, cap+1)
-		order = append(order, "read-all")
-	})
+	capacity := pipe.Capacity()
+	var wroteCap, wroteExtra, reading, readAll sim.Time
+	m.Spawn("writer", once(
+		write(pipe, capacity), mark(&wroteCap), // fits exactly, no block
+		write(pipe, 1), mark(&wroteExtra), // must block until the reader drains
+	))
+	m.Spawn("reader", once(mark(&reading), read(pipe, capacity+1), mark(&readAll)))
 	m.Run()
-	if len(order) != 4 || order[0] != "wrote-cap" || order[1] != "reading" {
-		t.Fatalf("order = %v; writer must block at capacity", order)
+	if !(wroteCap < reading && reading < wroteExtra && reading < readAll) {
+		t.Fatalf("wrote-cap %v, reading %v, wrote-extra %v, read-all %v; writer must block at capacity",
+			wroteCap, reading, wroteExtra, readAll)
 	}
 }
 
 func TestPipeReadBlocksUntilData(t *testing.T) {
 	m := newLinux()
+	m.EnableTrace(0)
 	pipe := m.NewPipe()
-	var got int
-	m.Spawn("reader", func(p *Proc) { got = p.Read(pipe, 100) })
-	m.Spawn("writer", func(p *Proc) { p.Write(pipe, 42) })
+	var got sim.Time
+	m.Spawn("reader", once(read(pipe, 42), mark(&got)))
+	m.Spawn("writer", once(write(pipe, 42)))
 	m.Run()
-	if got != 42 {
-		t.Fatalf("read returned %d, want the 42 available bytes", got)
+	var kinds []string
+	for _, e := range m.TraceEvents() {
+		if e.Kind == "block" || e.Kind == "pipe-write" || e.Kind == "pipe-read" {
+			kinds = append(kinds, e.Kind)
+		}
+	}
+	if strings.Join(kinds, " ") != "block pipe-write pipe-read" {
+		t.Fatalf("events %v: the reader must block until the writer delivers", kinds)
+	}
+	if got == 0 {
+		t.Fatal("reader never returned")
 	}
 }
 
@@ -145,26 +139,18 @@ func TestTokenRingPasses(t *testing.T) {
 	for i := range pipes {
 		pipes[i] = m.NewPipe()
 	}
-	counts := make([]int, nproc)
 	for i := 0; i < nproc; i++ {
-		i := i
-		m.Spawn("ring", func(p *Proc) {
-			for lap := 0; lap < laps; lap++ {
-				if !(i == 0 && lap == 0) {
-					p.ReadFull(pipes[i], 1)
-				}
-				counts[i]++
-				p.Write(pipes[(i+1)%nproc], 1)
-			}
-			if i == 0 {
-				p.ReadFull(pipes[0], 1) // collect the final token
-			}
-		})
+		r, w := read(pipes[i], 1), write(pipes[(i+1)%nproc], 1)
+		prog := loop(laps, r, w)
+		if i == 0 {
+			prog = Program{Pre: []Op{w}, Body: prog.Body, Loops: laps - 1, Post: []Op{r}}
+		}
+		m.Spawn("ring", prog)
 	}
 	m.Run()
-	for i, c := range counts {
-		if c != laps {
-			t.Fatalf("process %d passed token %d times, want %d", i, c, laps)
+	for i, pp := range pipes {
+		if pp.BytesTransferred != laps {
+			t.Fatalf("pipe %d carried the token %d times, want %d", i, pp.BytesTransferred, laps)
 		}
 	}
 	if m.Switches() == 0 {
@@ -172,33 +158,34 @@ func TestTokenRingPasses(t *testing.T) {
 	}
 }
 
+// idleMachine spawns n threads that never run and returns the machine.
+func idleMachine(mk func() *Machine, n int) *Machine {
+	m := mk()
+	for i := 0; i < n; i++ {
+		m.Spawn("idle", once(Op{Kind: OpYield}))
+	}
+	return m
+}
+
 func TestLinuxSwitchCostGrowsWithProcs(t *testing.T) {
 	// §5: Linux context switch time increases linearly with active
 	// processes: the goodness scan examines every live task, so the pick
 	// cost scales with the task count.
 	costAt := func(n int) sim.Duration {
-		m := newLinux()
-		for i := 0; i < n; i++ {
-			m.Spawn("idle", func(p *Proc) { p.block() }) // park forever
+		m := idleMachine(newLinux, n)
+		d, scanned, _ := m.pickCost(m.Threads()[0])
+		if scanned != n {
+			t.Fatalf("scan examined %d tasks, want all %d", scanned, n)
 		}
-		next, cost := m.sched.pick()
-		if next == nil {
-			t.Fatal("nothing runnable")
-		}
-		if cost.scanned != n {
-			t.Fatalf("scan examined %d tasks, want all %d", cost.scanned, n)
-		}
-		return m.switchCost(cost)
+		return d
 	}
 	c2, c20, c40 := costAt(2), costAt(20), costAt(40)
 	if !(c2 < c20 && c20 < c40) {
 		t.Fatalf("Linux switch cost not increasing: %v %v %v", c2, c20, c40)
 	}
 	// Linearity: the 20→40 increment is ~the 2→20 increment scaled.
-	d1 := int64(c20 - c2)  // 18 tasks
-	d2 := int64(c40 - c20) // 20 tasks
-	perTask1 := d1 / 18
-	perTask2 := d2 / 20
+	perTask1 := int64(c20-c2) / 18
+	perTask2 := int64(c40-c20) / 20
 	if perTask1 != perTask2 {
 		t.Fatalf("per-task cost not constant: %v vs %v", perTask1, perTask2)
 	}
@@ -206,15 +193,12 @@ func TestLinuxSwitchCostGrowsWithProcs(t *testing.T) {
 
 func TestFreeBSDSwitchCostFlat(t *testing.T) {
 	costAt := func(n int) sim.Duration {
-		m := newFreeBSD()
-		for i := 0; i < n; i++ {
-			m.Spawn("idle", func(p *Proc) { p.block() })
+		m := idleMachine(newFreeBSD, n)
+		d, scanned, _ := m.pickCost(m.Threads()[0])
+		if scanned != 0 {
+			t.Fatalf("bitmap queues scanned %d tasks; pick must be constant-time", scanned)
 		}
-		_, cost := m.sched.pick()
-		if cost.scanned != 0 {
-			t.Fatalf("bitmap queues scanned %d tasks; pick must be constant-time", cost.scanned)
-		}
-		return m.switchCost(cost)
+		return d
 	}
 	if costAt(2) != costAt(200) {
 		t.Fatal("FreeBSD switch cost must not depend on process count (§5)")
@@ -226,15 +210,14 @@ func TestSchedulerPickOrderFIFO(t *testing.T) {
 	// benchmark interleavings are identical across personalities.
 	for _, mk := range []func() *Machine{newLinux, newFreeBSD, newSolaris} {
 		m := mk()
-		var order []int
-		for i := 0; i < 4; i++ {
-			i := i
-			m.Spawn("w", func(p *Proc) { order = append(order, i) })
+		ran := make([]sim.Time, 4)
+		for i := range ran {
+			m.Spawn("w", once(mark(&ran[i])))
 		}
 		m.Run()
-		for i, v := range order {
-			if v != i {
-				t.Fatalf("%v: run order %v not FIFO", m.OS(), order)
+		for i := 1; i < len(ran); i++ {
+			if ran[i] <= ran[i-1] {
+				t.Fatalf("%v: run times %v not FIFO", m.OS(), ran)
 			}
 		}
 	}
@@ -305,19 +288,6 @@ func TestSolarisLIFOChainGradual(t *testing.T) {
 	}
 }
 
-func TestShutdownKillsBlockedProcs(t *testing.T) {
-	m := newLinux()
-	pipe := m.NewPipe()
-	m.Spawn("server", func(p *Proc) {
-		p.Read(pipe, 1) // never satisfied
-		t.Error("server ran past a read that should never complete")
-	})
-	m.RunDrain()
-	if n := m.ActiveProcs(); n != 0 {
-		t.Fatalf("ActiveProcs = %d after RunDrain, want 0", n)
-	}
-}
-
 func TestDeadlockPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -326,85 +296,62 @@ func TestDeadlockPanics(t *testing.T) {
 	}()
 	m := newLinux()
 	pipe := m.NewPipe()
-	m.Spawn("stuck", func(p *Proc) { p.Read(pipe, 1) })
+	m.Spawn("stuck", once(read(pipe, 1)))
 	m.Run()
 }
 
 func TestChargeAccumulatesUserTime(t *testing.T) {
 	m := newLinux()
-	var p0 *Proc
-	m.Spawn("worker", func(p *Proc) {
-		p0 = p
-		p.Charge(5 * sim.Millisecond)
-		p.Charge(5 * sim.Millisecond)
-	})
+	th := m.Spawn("worker", once(think(5*sim.Millisecond), think(5*sim.Millisecond)))
 	m.Run()
-	if p0.UserTime != 10*sim.Millisecond {
-		t.Fatalf("UserTime = %v, want 10ms", p0.UserTime)
+	if th.UserTime != 10*sim.Millisecond {
+		t.Fatalf("UserTime = %v, want 10ms", th.UserTime)
 	}
 }
 
 func TestForkExecCosts(t *testing.T) {
 	m := newSolaris()
-	before := m.Now()
-	m.Spawn("parent", func(p *Proc) {
-		p.ChargeFork()
-		p.ChargeExec()
-	})
+	m.Spawn("parent", once(Op{Kind: OpFork}, Op{Kind: OpExec}))
 	m.Run()
 	k := m.OS().Kernel
 	want := k.Fork + k.Exec
-	got := m.Now().Sub(before)
-	if got < want {
-		t.Fatalf("fork+exec advanced %v, want at least %v", got, want)
+	if got := m.PhaseTime(PhaseProcess); got != want {
+		t.Fatalf("fork+exec charged %v, want %v", got, want)
+	}
+	if m.Elapsed() < want {
+		t.Fatalf("fork+exec advanced %v, want at least %v", m.Elapsed(), want)
 	}
 }
 
 func TestYieldTimeslice(t *testing.T) {
 	m := newFreeBSD()
-	var order []int
-	m.Spawn("a", func(p *Proc) {
-		order = append(order, 1)
-		p.YieldTimeslice()
-		order = append(order, 3)
-	})
-	m.Spawn("b", func(p *Proc) {
-		order = append(order, 2)
-	})
+	var a1, b2, a3 sim.Time
+	m.Spawn("a", once(mark(&a1), Op{Kind: OpYield}, mark(&a3)))
+	m.Spawn("b", once(mark(&b2)))
 	m.Run()
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("order = %v, want [1 2 3]", order)
+	if !(a1 < b2 && b2 < a3) {
+		t.Fatalf("a1 %v, b2 %v, a3 %v: yield must let b run between a's halves", a1, b2, a3)
 	}
 }
 
 func TestPipePanicsOnBadSizes(t *testing.T) {
 	m := newLinux()
 	pipe := m.NewPipe()
-	m.Spawn("bad", func(p *Proc) {
-		defer func() {
-			if recover() == nil {
-				t.Error("Write(0) did not panic")
-			}
-		}()
-		p.Write(pipe, 0)
-	})
-	m.Run()
+	defer func() {
+		if recover() == nil {
+			t.Error("a zero-length pipe write did not panic")
+		}
+	}()
+	m.Spawn("bad", once(write(pipe, 0)))
 }
 
 func TestDeterministicMultiProcessRun(t *testing.T) {
-	run := func() sim.Time {
+	run := func() sim.Duration {
 		m := newSolaris()
 		pipe := m.NewPipe()
-		m.Spawn("w", func(p *Proc) {
-			for i := 0; i < 50; i++ {
-				p.Write(pipe, 3000)
-			}
-		})
-		m.Spawn("r", func(p *Proc) {
-			p.ReadFull(pipe, 150000)
-		})
-		m.Run()
-		return m.Now()
+		m.Spawn("w", loop(50, write(pipe, 3000)))
+		m.Spawn("r", once(read(pipe, 150000)))
+		return m.Run()
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("multi-process run not deterministic: %v vs %v", a, b)
@@ -415,8 +362,8 @@ func TestTraceRecordsTimeline(t *testing.T) {
 	m := newSolaris()
 	m.EnableTrace(0)
 	pipe := m.NewPipe()
-	m.Spawn("w", func(p *Proc) { p.Write(pipe, 1) })
-	m.Spawn("r", func(p *Proc) { p.ReadFull(pipe, 1) })
+	m.Spawn("w", once(write(pipe, 1)))
+	m.Spawn("r", once(read(pipe, 1)))
 	m.Run()
 	events := m.TraceEvents()
 	if len(events) == 0 {
@@ -443,7 +390,7 @@ func TestTraceRecordsTimeline(t *testing.T) {
 
 func TestTraceOffByDefault(t *testing.T) {
 	m := newLinux()
-	m.Spawn("w", func(p *Proc) { p.Getpid() })
+	m.Spawn("w", once(Op{Kind: OpSyscall}))
 	m.Run()
 	if len(m.TraceEvents()) != 0 {
 		t.Fatal("tracing recorded events while disabled")
@@ -454,7 +401,7 @@ func TestTraceLimitBounds(t *testing.T) {
 	m := newLinux()
 	m.EnableTrace(5)
 	for i := 0; i < 20; i++ {
-		m.Spawn("w", func(p *Proc) {})
+		m.Spawn("w", Program{})
 	}
 	m.Run()
 	if got := len(m.TraceEvents()); got > 5 {
@@ -466,7 +413,7 @@ func TestTraceRingDropsOldest(t *testing.T) {
 	m := newLinux()
 	m.EnableTrace(5)
 	for i := 0; i < 20; i++ {
-		m.Spawn("w", func(p *Proc) {})
+		m.Spawn("w", Program{})
 	}
 	m.Run()
 	events := m.TraceEvents()
@@ -498,12 +445,8 @@ func TestTraceRingDoesNotReallocate(t *testing.T) {
 	m := newLinux()
 	m.EnableTrace(8)
 	pipe := m.NewPipe()
-	m.Spawn("w", func(p *Proc) {
-		for i := 0; i < 200; i++ {
-			p.Write(pipe, 100)
-		}
-	})
-	m.Spawn("r", func(p *Proc) { p.ReadFull(pipe, 20000) })
+	m.Spawn("w", loop(200, write(pipe, 100)))
+	m.Spawn("r", once(read(pipe, 20000)))
 	before := cap(m.traceBuf)
 	m.Run()
 	if cap(m.traceBuf) != before {
@@ -521,31 +464,25 @@ func TestPhaseSumsEqualElapsed(t *testing.T) {
 	for _, mk := range []func() *Machine{newLinux, newFreeBSD, newSolaris} {
 		m := mk()
 		pipe := m.NewPipe()
-		m.Spawn("w", func(p *Proc) {
-			p.ChargeFork()
-			p.ChargeExec()
-			p.Charge(5 * sim.Microsecond)
-			for i := 0; i < 20; i++ {
-				p.Write(pipe, 3000)
-			}
+		m.Spawn("w", Program{
+			Pre:   []Op{{Kind: OpFork}, {Kind: OpExec}, think(5 * sim.Microsecond)},
+			Body:  []Op{write(pipe, 3000)},
+			Loops: 20,
 		})
-		m.Spawn("r", func(p *Proc) {
-			p.ReadFull(pipe, 60000)
-			p.Getpid()
-		})
+		m.Spawn("r", once(read(pipe, 60000), Op{Kind: OpSyscall}))
 		m.Run()
 		var sum sim.Duration
 		for ph := Phase(0); ph < NumPhases; ph++ {
 			sum += m.PhaseTime(ph)
 		}
-		if elapsed := m.Now().Sub(0); sum != elapsed {
+		if elapsed := m.Elapsed(); sum != elapsed {
 			t.Errorf("%s: phase sum %v != elapsed %v (breakdown %v)",
 				m.OS().Name, sum, elapsed, m.PhaseBreakdown())
 		}
-		if m.PhaseTime(PhaseDispatch) == 0 || m.PhaseTime(PhaseCopy) == 0 ||
-			m.PhaseTime(PhaseSyscall) == 0 || m.PhaseTime(PhaseWakeup) == 0 ||
-			m.PhaseTime(PhaseProcess) == 0 || m.PhaseTime(PhaseUser) == 0 {
-			t.Errorf("%s: expected every phase nonzero: %v", m.OS().Name, m.PhaseBreakdown())
+		for ph := Phase(0); ph < NumPhases; ph++ {
+			if (m.PhaseTime(ph) == 0) != (ph == PhaseLock) {
+				t.Errorf("%s: expected every phase but lock nonzero: %v", m.OS().Name, m.PhaseBreakdown())
+			}
 		}
 	}
 }
@@ -556,8 +493,8 @@ func TestObserveRecordsSpans(t *testing.T) {
 	m.Observe(rec)
 	pipe := m.NewPipe()
 	total := pipe.Capacity() * 2 // overfill so the writer blocks and gets woken
-	m.Spawn("w", func(p *Proc) { p.Write(pipe, total) })
-	m.Spawn("r", func(p *Proc) { p.ReadFull(pipe, total) })
+	m.Spawn("w", once(write(pipe, total)))
+	m.Spawn("r", once(read(pipe, total)))
 	m.Run()
 
 	byName := map[string]int{}
@@ -585,29 +522,28 @@ func TestObserveRecordsSpans(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	m.FoldMetrics(reg, "kernel.")
-	if v, ok := reg.Snapshot().Get("kernel.context_switches"); !ok || v != float64(m.Switches()) {
+	snap := reg.Snapshot()
+	if v, ok := snap.Get("kernel.context_switches"); !ok || v != float64(m.Switches()) {
 		t.Errorf("folded switches = %v %v, want %d", v, ok, m.Switches())
+	}
+	if _, ok := snap.Get("kernel.phase_us.lock"); ok {
+		t.Error("a lock-free machine folded a lock phase")
 	}
 }
 
 // TestObserveDoesNotPerturbTiming holds that attaching observability
 // never changes simulated results.
 func TestObserveDoesNotPerturbTiming(t *testing.T) {
-	run := func(observe bool) sim.Time {
+	run := func(observe bool) sim.Duration {
 		m := newSolaris()
 		if observe {
 			m.Observe(obs.NewRecorder(m.Clock()))
 			m.EnableTrace(16)
 		}
 		pipe := m.NewPipe()
-		m.Spawn("w", func(p *Proc) {
-			for i := 0; i < 50; i++ {
-				p.Write(pipe, 3000)
-			}
-		})
-		m.Spawn("r", func(p *Proc) { p.ReadFull(pipe, 150000) })
-		m.Run()
-		return m.Now()
+		m.Spawn("w", loop(50, write(pipe, 3000)))
+		m.Spawn("r", once(read(pipe, 150000)))
+		return m.Run()
 	}
 	if plain, observed := run(false), run(true); plain != observed {
 		t.Fatalf("observability changed the result: %v vs %v", plain, observed)
@@ -619,8 +555,8 @@ func TestRunCheckedSurfacesDeadlockError(t *testing.T) {
 	rec := obs.NewRecorder(m.Clock())
 	m.Observe(rec)
 	pipe := m.NewPipe()
-	m.Spawn("stuck-reader", func(p *Proc) { p.Read(pipe, 1) })
-	m.Spawn("worker", func(p *Proc) { p.Charge(2 * sim.Millisecond) })
+	m.Spawn("stuck-reader", once(read(pipe, 1)))
+	m.Spawn("worker", once(think(2*sim.Millisecond)))
 
 	err := m.RunChecked()
 	if err == nil {
@@ -649,8 +585,116 @@ func TestRunCheckedSurfacesDeadlockError(t *testing.T) {
 
 func TestRunCheckedCleanRunReturnsNil(t *testing.T) {
 	m := newLinux()
-	m.Spawn("worker", func(p *Proc) { p.Charge(sim.Millisecond) })
+	m.Spawn("worker", once(think(sim.Millisecond)))
 	if err := m.RunChecked(); err != nil {
 		t.Fatalf("RunChecked = %v on a clean run", err)
+	}
+}
+
+// TestProgramPrologueEpilogue pins the program layout: Pre runs once,
+// Body Loops times (not at all for zero loops), Post once, in order.
+func TestProgramPrologueEpilogue(t *testing.T) {
+	for _, loops := range []int{0, 1, 3} {
+		m := newFreeBSD()
+		var pre, post sim.Time
+		th := m.Spawn("p", Program{
+			Pre:   []Op{think(sim.Microsecond), mark(&pre)},
+			Body:  []Op{think(10 * sim.Microsecond)},
+			Loops: loops,
+			Post:  []Op{mark(&post)},
+		})
+		m.Run()
+		if th.Iters != uint64(loops) {
+			t.Errorf("loops=%d: %d body iterations", loops, th.Iters)
+		}
+		if want := sim.Duration(1+10*loops) * sim.Microsecond; th.UserTime != want {
+			t.Errorf("loops=%d: user time %v, want %v", loops, th.UserTime, want)
+		}
+		if got := post.Sub(pre); got != sim.Duration(10*loops)*sim.Microsecond {
+			t.Errorf("loops=%d: body took %v between the marks", loops, got)
+		}
+	}
+}
+
+// TestSteadyStateSwitchAllocFree pins the dispatch hot path at zero
+// allocations per context switch: the run queues are head-indexed rings,
+// the Solaris LRU table updates in place, and the pipe wait queues reuse
+// their backing arrays. A 40-process Solaris ring misses the 32-entry
+// dispatch table on every switch, so the LRU eviction path is covered.
+func TestSteadyStateSwitchAllocFree(t *testing.T) {
+	const nproc = 40
+	m := ringMachine(osprofile.Solaris24(), nproc)
+	runSwitches(m, 4*nproc) // warm every queue to its steady size
+	if allocs := testing.AllocsPerRun(1000, func() { runSwitches(m, 1) }); allocs != 0 {
+		t.Fatalf("%v allocs per context switch, want 0", allocs)
+	}
+	if m.table == nil || len(m.table.order) != cap(m.table.order) {
+		t.Fatal("the 40-process ring did not fill the Solaris dispatch table")
+	}
+}
+
+// ringMachine builds an n-process token ring that runs for as long as it
+// is stepped.
+func ringMachine(p *osprofile.Profile, nproc int) *Machine {
+	m := MustMachine(p, 1)
+	pipes := make([]*Pipe, nproc)
+	for i := range pipes {
+		pipes[i] = m.NewPipe()
+	}
+	for i := 0; i < nproc; i++ {
+		r, w := read(pipes[i], 1), write(pipes[(i+1)%nproc], 1)
+		prog := loop(1<<30, r, w)
+		if i == 0 {
+			prog = Program{Pre: []Op{w}, Body: prog.Body, Loops: 1 << 30}
+		}
+		m.Spawn("ring", prog)
+	}
+	return m
+}
+
+// runSwitches steps m through n context switches.
+func runSwitches(m *Machine, n int) {
+	for target := m.switches + uint64(n); m.switches < target; {
+		m.step()
+	}
+}
+
+// BenchmarkCtxRingSwitch reports the host cost of one simulated context
+// switch of the ctx ring — pipe read, pipe write, wakeup and dispatch —
+// as ns/op and allocs/op: the engine's hot path.
+func BenchmarkCtxRingSwitch(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		p     *osprofile.Profile
+		nproc int
+	}{
+		{"linux-n8", osprofile.Linux128(), 8},
+		{"solaris-n40", osprofile.Solaris24(), 40},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			m := ringMachine(c.p, c.nproc)
+			runSwitches(m, 4*c.nproc)
+			b.ReportAllocs()
+			b.ResetTimer()
+			runSwitches(m, b.N)
+		})
+	}
+}
+
+// BenchmarkSMPLockContention times one L1-style lock point: 16 threads on
+// 16 CPUs contending for one lock.
+func BenchmarkSMPLockContention(b *testing.B) {
+	for _, kind := range []LockKind{SpinLock, SleepLock} {
+		b.Run(kind.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m := MustMachine(osprofile.Linux128(), 16)
+				l := m.NewLock(kind)
+				for j := 0; j < 16; j++ {
+					m.SpawnThread("worker", lockWorkerOps(l, 5*sim.Microsecond+sim.Duration(j)*137, 20*sim.Microsecond), 50)
+				}
+				m.Run()
+			}
+		})
 	}
 }

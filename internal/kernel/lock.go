@@ -1,6 +1,6 @@
 package kernel
 
-// Lock personalities for the SMP machine (DESIGN.md §16): spinlocks with
+// Lock personalities for SMP machines (DESIGN.md §16): spinlocks with
 // a capped exponential backoff ladder, sleep locks with direct-handoff
 // wake-one through the scheduler, and an RCU-style read-mostly domain
 // whose writers wait out the grace period on-CPU. All costs come from
@@ -49,12 +49,12 @@ func (k LockKind) String() string {
 
 // Lock is a mutual-exclusion lock on an SMP machine.
 type Lock struct {
-	m     *SMPMachine
+	m     *Machine
 	kind  LockKind
 	held  bool
 	owner int
 	// waiters is the sleep-lock FIFO block queue.
-	waiters []*SThread
+	waiters []*Thread
 
 	// Acquires counts successful acquisitions; Releases releases.
 	Acquires uint64
@@ -73,7 +73,7 @@ type Lock struct {
 }
 
 // NewLock creates a lock of the given kind on the machine.
-func (m *SMPMachine) NewLock(kind LockKind) *Lock {
+func (m *Machine) NewLock(kind LockKind) *Lock {
 	l := &Lock{m: m, kind: kind, owner: -1}
 	m.locks = append(m.locks, l)
 	return l
@@ -83,14 +83,14 @@ func (m *SMPMachine) NewLock(kind LockKind) *Lock {
 func (l *Lock) Kind() LockKind { return l.kind }
 
 // Locks returns the machine's locks in creation order.
-func (m *SMPMachine) Locks() []*Lock { return m.locks }
+func (m *Machine) Locks() []*Lock { return m.locks }
 
 // acquire executes t's OpLock on CPU c. On success t.pc advances; a
 // failed spin poll leaves pc in place (the op retries at the thread's
 // next turn, later in virtual time by the backoff), and a sleep block
 // parks the thread with pc still at the OpLock (release advances it
 // during handoff).
-func (l *Lock) acquire(c int, t *SThread) {
+func (l *Lock) acquire(c int, t *Thread) {
 	m := l.m
 	costs := &m.os.Lock
 	if l.kind == SpinLock {
@@ -101,7 +101,7 @@ func (l *Lock) acquire(c int, t *SThread) {
 				l.Contended++
 				l.WaitHist.Observe(int64(m.now[c].Sub(t.waitStart)))
 				if m.rec != nil {
-					m.rec.EndAt(m.now[c], m.cpuTracks[c], "spin", 0)
+					m.rec.EndAt(m.now[c], t.track, "spin", 0)
 				}
 				t.backoff = 0
 			} else {
@@ -110,7 +110,7 @@ func (l *Lock) acquire(c int, t *SThread) {
 			l.held = true
 			l.owner = t.tid
 			l.Acquires++
-			m.advanceBusy(c, &m.lockT, costs.SpinAcquire)
+			m.advanceBusy(c, PhaseLock, costs.SpinAcquire)
 			t.pc++
 			return
 		}
@@ -129,7 +129,7 @@ func (l *Lock) acquire(c int, t *SThread) {
 		if t.backoff == 0 {
 			t.waitStart = m.now[c]
 			if m.rec != nil {
-				m.rec.BeginAt(m.now[c], m.cpuTracks[c], "spin")
+				m.rec.BeginAt(m.now[c], t.track, "spin")
 			}
 			t.backoff = q
 		} else {
@@ -147,21 +147,19 @@ func (l *Lock) acquire(c int, t *SThread) {
 		l.owner = t.tid
 		l.Acquires++
 		l.Uncontended++
-		m.advanceBusy(c, &m.lockT, costs.SleepAcquire)
+		m.advanceBusy(c, PhaseLock, costs.SleepAcquire)
 		t.pc++
 		return
 	}
-	m.advanceBusy(c, &m.lockT, costs.SleepBlock)
+	m.advanceBusy(c, PhaseLock, costs.SleepBlock)
 	t.waitStart = m.now[c]
 	l.waiters = append(l.waiters, t)
 	l.Blocks++
-	t.state = sBlocked
-	m.endRun(c)
-	m.running[c] = nil
+	m.block(c, t)
 }
 
 // release executes t's OpUnlock on CPU c.
-func (l *Lock) release(c int, t *SThread) {
+func (l *Lock) release(c int, t *Thread) {
 	m := l.m
 	costs := &m.os.Lock
 	t.pc++
@@ -169,27 +167,27 @@ func (l *Lock) release(c int, t *SThread) {
 	if l.kind == SpinLock {
 		l.held = false
 		l.owner = -1
-		m.advanceBusy(c, &m.lockT, costs.SpinAcquire)
+		m.advanceBusy(c, PhaseLock, costs.SpinAcquire)
 		return
 	}
 	if len(l.waiters) == 0 {
 		l.held = false
 		l.owner = -1
-		m.advanceBusy(c, &m.lockT, costs.SleepAcquire)
+		m.advanceBusy(c, PhaseLock, costs.SleepAcquire)
 		return
 	}
 	// Direct handoff: ownership passes to the FIFO head without the lock
 	// ever becoming free, so late-arriving spinners can't barge.
-	var w *SThread
-	w, l.waiters = l.waiters[0], l.waiters[1:]
-	m.advanceBusy(c, &m.lockT, costs.SleepWake)
+	w := l.waiters[0]
+	l.waiters = l.waiters[:copy(l.waiters, l.waiters[1:])]
+	m.advanceBusy(c, PhaseLock, costs.SleepWake)
 	l.owner = w.tid
 	l.Wakeups++
 	l.Acquires++
 	l.Contended++
 	w.pc++
 	l.WaitHist.Observe(int64(m.now[c].Sub(w.waitStart)))
-	m.enqueue(w, m.now[c])
+	m.ready(c, w)
 }
 
 // RCU is a read-mostly synchronization domain: readers run short
@@ -197,7 +195,7 @@ func (l *Lock) release(c int, t *SThread) {
 // period until every reader that started before the synchronize has
 // finished.
 type RCU struct {
-	m *SMPMachine
+	m *Machine
 	// lastReaderEnd is the virtual time the latest read-side section
 	// ends; a synchronize started before it waits for the difference.
 	lastReaderEnd sim.Time
@@ -208,15 +206,15 @@ type RCU struct {
 }
 
 // NewRCU creates an RCU domain on the machine.
-func (m *SMPMachine) NewRCU() *RCU {
+func (m *Machine) NewRCU() *RCU {
 	return &RCU{m: m}
 }
 
 // read executes a read-side section of length d on CPU c.
-func (r *RCU) read(c int, t *SThread, d sim.Duration) {
+func (r *RCU) read(c int, t *Thread, d sim.Duration) {
 	m := r.m
-	m.advanceBusy(c, &m.lockT, m.os.Lock.RCURead)
-	m.advanceBusy(c, &m.userT, d)
+	m.advanceBusy(c, PhaseLock, m.os.Lock.RCURead)
+	m.advanceBusy(c, PhaseUser, d)
 	t.UserTime += d
 	r.Readers++
 	if m.now[c] > r.lastReaderEnd {
@@ -230,12 +228,12 @@ func (r *RCU) read(c int, t *SThread, d sim.Duration) {
 // runs, so lastReaderEnd already covers every reader that could precede
 // the synchronize; the gap is charged to the spin ledger (the writer
 // busy-waits on-CPU).
-func (r *RCU) synchronize(c int, t *SThread) {
+func (r *RCU) synchronize(c int, t *Thread) {
 	m := r.m
 	if gap := r.lastReaderEnd.Sub(m.now[c]); gap > 0 {
 		m.advanceSpin(c, gap)
 	}
-	m.advanceBusy(c, &m.lockT, m.os.Lock.RCUSync)
+	m.advanceBusy(c, PhaseLock, m.os.Lock.RCUSync)
 	r.Syncs++
 	t.pc++
 }

@@ -15,8 +15,8 @@ type Pipe struct {
 	capacity int
 	buffered int
 
-	readers []*Proc
-	writers []*Proc
+	readers []*Thread
+	writers []*Thread
 
 	// BytesTransferred counts all data that has passed through.
 	BytesTransferred uint64
@@ -38,6 +38,13 @@ func (pp *Pipe) copyCost(n int) sim.Duration {
 	return sim.Duration(int64(pp.m.os.Kernel.PipeCopyPerKB) * int64(n) / 1024)
 }
 
+// rwSyscall charges the cost of a read/write-class system call: the bare
+// trap plus argument validation and file-table work.
+func (pp *Pipe) rwSyscall(c int, t *Thread) {
+	k := &pp.m.os.Kernel
+	pp.m.chargeSpan(c, t.track, "syscall", PhaseSyscall, k.Syscall+k.ReadWriteExtra)
+}
+
 // wake readies waiters on q and returns the remaining queue. Under the
 // personality's wake-all policy (every built-in profile: historical
 // kernels thundering-herd their pipe sleepers) the whole queue is woken
@@ -45,93 +52,86 @@ func (pp *Pipe) copyCost(n int) sim.Duration {
 // wake charge per wakeup; a reader woken when another consumed the data
 // first simply re-blocks — the re-block costs nothing extra, since
 // switch time is charged at dispatch, not at wakeup.
-func (pp *Pipe) wake(q []*Proc) []*Proc {
+func (pp *Pipe) wake(c int, q []*Thread) []*Thread {
 	if len(q) == 0 {
 		return q
 	}
-	if !pp.m.os.Kernel.PipeWakeAll {
-		p := q[0]
-		pp.m.chargeSpan(pp.m.kernelTrack, "wakeup", PhaseWakeup, pp.m.os.Kernel.PipeWake)
-		if pp.m.observing() {
-			pp.m.trace("wake", p.PID(), "%s", p.Name())
-		}
-		pp.m.ready(p)
-		copy(q, q[1:])
-		return q[:len(q)-1]
+	m := pp.m
+	m.chargeSpan(c, m.kernelTracks[c], "wakeup", PhaseWakeup, m.os.Kernel.PipeWake)
+	n := len(q)
+	if !m.os.Kernel.PipeWakeAll {
+		n = 1
 	}
-	pp.m.chargeSpan(pp.m.kernelTrack, "wakeup", PhaseWakeup, pp.m.os.Kernel.PipeWake)
-	for _, p := range q {
-		if pp.m.observing() {
-			pp.m.trace("wake", p.PID(), "%s", p.Name())
+	for _, t := range q[:n] {
+		if m.observing() {
+			m.trace(c, "wake", t.tid, "%s", t.name)
 		}
-		pp.m.ready(p)
+		m.ready(c, t)
 	}
-	return q[:0]
+	return q[:copy(q, q[n:])]
 }
 
-// Write performs one write(2) of n bytes, blocking until every byte is in
-// the pipe (UNIX pipe writes of any size are atomic with respect to
-// completion: the call does not return until all data is written).
-func (p *Proc) Write(pp *Pipe, n int) {
-	if n <= 0 {
-		panic("kernel: pipe write of non-positive length")
+// write executes t's OpPipeWrite of n bytes on CPU c: one write(2) that
+// does not complete until every byte is in the pipe. Each step copies
+// what fits and wakes any sleeping readers; a full pipe parks the
+// writer, and the op resumes (without a second syscall entry) when a
+// reader drains space.
+func (pp *Pipe) write(c int, t *Thread, n int) {
+	m := pp.m
+	if !t.insys {
+		pp.rwSyscall(c, t)
+		t.insys = true
+		t.left = n
 	}
-	p.rwSyscall()
-	for n > 0 {
-		space := pp.capacity - pp.buffered
-		if space == 0 {
-			pp.writers = append(pp.writers, p)
-			p.block()
-			continue
-		}
-		chunk := n
-		if chunk > space {
-			chunk = space
-		}
-		pp.m.chargeSpan(p.track, "copy", PhaseCopy, pp.copyCost(chunk))
-		pp.buffered += chunk
-		pp.BytesTransferred += uint64(chunk)
-		n -= chunk
-		if pp.m.observing() {
-			pp.m.trace("pipe-write", p.PID(), "%d bytes (buffered %d)", chunk, pp.buffered)
-		}
-		pp.readers = pp.wake(pp.readers)
+	space := pp.capacity - pp.buffered
+	if space == 0 {
+		pp.writers = append(pp.writers, t)
+		m.block(c, t)
+		return
+	}
+	chunk := min(t.left, space)
+	m.chargeSpan(c, t.track, "copy", PhaseCopy, pp.copyCost(chunk))
+	pp.buffered += chunk
+	pp.BytesTransferred += uint64(chunk)
+	t.left -= chunk
+	if m.observing() {
+		m.trace(c, "pipe-write", t.tid, "%d bytes (buffered %d)", chunk, pp.buffered)
+	}
+	pp.readers = pp.wake(c, pp.readers)
+	if t.left == 0 {
+		t.insys = false
+		t.pc++
 	}
 }
 
-// Read performs one read(2) of up to n bytes. Like the real call it
-// blocks only until some data is available, then returns what is there
-// (bounded by n).
-func (p *Proc) Read(pp *Pipe, n int) int {
-	if n <= 0 {
-		panic("kernel: pipe read of non-positive length")
+// read executes t's OpPipeRead of n bytes on CPU c. Each read(2) blocks
+// only until some data is available, then takes what is there (bounded
+// by the bytes still wanted) and wakes any sleeping writers; the op
+// keeps calling read(2) until all n bytes have arrived.
+func (pp *Pipe) read(c int, t *Thread, n int) {
+	m := pp.m
+	if t.left == 0 {
+		t.left = n
 	}
-	p.rwSyscall()
-	for pp.buffered == 0 {
-		pp.readers = append(pp.readers, p)
-		p.block()
+	if !t.insys {
+		pp.rwSyscall(c, t)
+		t.insys = true
 	}
-	chunk := n
-	if chunk > pp.buffered {
-		chunk = pp.buffered
+	if pp.buffered == 0 {
+		pp.readers = append(pp.readers, t)
+		m.block(c, t)
+		return
 	}
-	pp.m.chargeSpan(p.track, "copy", PhaseCopy, pp.copyCost(chunk))
+	chunk := min(t.left, pp.buffered)
+	m.chargeSpan(c, t.track, "copy", PhaseCopy, pp.copyCost(chunk))
 	pp.buffered -= chunk
-	if pp.m.observing() {
-		pp.m.trace("pipe-read", p.PID(), "%d bytes (buffered %d)", chunk, pp.buffered)
+	if m.observing() {
+		m.trace(c, "pipe-read", t.tid, "%d bytes (buffered %d)", chunk, pp.buffered)
 	}
-	pp.writers = pp.wake(pp.writers)
-	return chunk
-}
-
-// ReadFull reads exactly n bytes, looping over Read as real programs do.
-// It returns the number of read(2) calls issued.
-func (p *Proc) ReadFull(pp *Pipe, n int) int {
-	calls := 0
-	for n > 0 {
-		got := p.Read(pp, n)
-		n -= got
-		calls++
+	pp.writers = pp.wake(c, pp.writers)
+	t.insys = false
+	t.left -= chunk
+	if t.left == 0 {
+		t.pc++
 	}
-	return calls
 }

@@ -9,7 +9,6 @@ package kernel
 import (
 	"testing"
 
-	"repro/internal/cpu"
 	"repro/internal/osprofile"
 	"repro/internal/sim"
 )
@@ -19,22 +18,13 @@ import (
 // every write finds both readers parked — the shape that separates
 // waking the whole queue from waking its head.
 func runPipePingPong(p *osprofile.Profile, msgs int) *Machine {
-	m := MustMachine(cpu.PentiumP54C100(), p, sim.NewRNG(0))
+	m := MustMachine(p, 1)
 	pipe := m.NewPipe()
 	for i := 0; i < 2; i++ {
-		m.Spawn("reader", func(pr *Proc) {
-			for n := 0; n < msgs; n++ {
-				pr.ReadFull(pipe, 1)
-			}
-		})
+		m.Spawn("reader", loop(msgs, read(pipe, 1)))
 	}
 	for i := 0; i < 2; i++ {
-		m.Spawn("writer", func(pr *Proc) {
-			for n := 0; n < msgs; n++ {
-				pr.Write(pipe, 1)
-				pr.YieldTimeslice()
-			}
-		})
+		m.Spawn("writer", loop(msgs, write(pipe, 1), Op{Kind: OpYield}))
 	}
 	m.Run()
 	return m
@@ -56,10 +46,13 @@ func TestPipePingPongSwitchCountPinned(t *testing.T) {
 		// re-block accounting, or scheduler queueing moves these.
 		wakeAll uint64
 		wakeOne uint64
+		// The pinned elapsed times (ns), recorded from the retired
+		// goroutine machine: the op engine reproduces them exactly.
+		elapsedAll, elapsedOne sim.Duration
 	}{
-		{"Linux 1.2.8", osprofile.Linux128(), 92, 103},
-		{"FreeBSD 2.0.5R", osprofile.FreeBSD205(), 92, 103},
-		{"Solaris 2.4", osprofile.Solaris24(), 92, 103},
+		{"Linux 1.2.8", osprofile.Linux128(), 92, 103, 4287500, 4961300},
+		{"FreeBSD 2.0.5R", osprofile.FreeBSD205(), 92, 103, 6141200, 7019200},
+		{"Solaris 2.4", osprofile.Solaris24(), 92, 103, 16399100, 18134100},
 	}
 	for _, c := range cases {
 		if !c.profile.Kernel.PipeWakeAll {
@@ -72,6 +65,10 @@ func TestPipePingPongSwitchCountPinned(t *testing.T) {
 		}
 		if one.Switches() != c.wakeOne {
 			t.Errorf("%s wake-one: %d switches, pinned %d", c.name, one.Switches(), c.wakeOne)
+		}
+		if all.Elapsed() != c.elapsedAll || one.Elapsed() != c.elapsedOne {
+			t.Errorf("%s: elapsed %v/%v, pinned %v/%v", c.name,
+				all.Elapsed(), one.Elapsed(), c.elapsedAll, c.elapsedOne)
 		}
 		// The policies must be observably different. Note the direction:
 		// with two writers stocking the pipe, waking the whole queue lets
@@ -98,18 +95,12 @@ func TestPipePingPongSwitchCountPinned(t *testing.T) {
 // re-block path charges nothing.
 func TestPipeWokenReaderReblocksOnce(t *testing.T) {
 	run := func(p *osprofile.Profile) *Machine {
-		m := MustMachine(cpu.PentiumP54C100(), p, sim.NewRNG(0))
+		m := MustMachine(p, 1)
 		pipe := m.NewPipe()
 		for i := 0; i < 2; i++ {
-			m.Spawn("reader", func(pr *Proc) {
-				pr.ReadFull(pipe, 1)
-			})
+			m.Spawn("reader", once(read(pipe, 1)))
 		}
-		m.Spawn("writer", func(pr *Proc) {
-			pr.Write(pipe, 1)
-			pr.YieldTimeslice()
-			pr.Write(pipe, 1)
-		})
+		m.Spawn("writer", once(write(pipe, 1), Op{Kind: OpYield}, write(pipe, 1)))
 		m.Run()
 		return m
 	}

@@ -1,36 +1,41 @@
 package kernel
 
 // Table-driven coverage of the three §5 dispatcher structures, pinning
-// the double-enqueue guards: readying an already-runnable process must
-// be a no-op for every personality, or the slice-backed schedulers would
-// let one process be picked twice (and the goodness scan would reset its
-// queue age). Also pins that each structure's pickCost matches its
-// documented mechanics.
+// the double-enqueue guards: readying an already-runnable thread must be
+// a no-op for every personality, or one thread could be picked twice
+// (and the goodness scan would reset its queue age). Also pins that each
+// structure's pick cost matches its documented mechanics.
 
 import (
 	"testing"
 
-	"repro/internal/cpu"
 	"repro/internal/osprofile"
-	"repro/internal/sim"
 )
 
-// mkSched builds a personality's scheduler plus n fake procs registered
-// with the machine (the goodness scan walks m.procs, so the procs must
-// be visible there; they never run).
-func mkSched(t *testing.T, p *osprofile.Profile, n int) (scheduler, []*Proc) {
+// mkSched builds a personality's machine plus n registered threads that
+// are not yet queued (the goodness scan counts every live thread, so the
+// threads must be visible; they never run).
+func mkSched(t *testing.T, p *osprofile.Profile, n int) (*Machine, []*Thread) {
 	t.Helper()
-	m := MustMachine(cpu.PentiumP54C100(), p, sim.NewRNG(0))
-	s, err := newScheduler(m)
-	if err != nil {
-		t.Fatal(err)
+	m := MustMachine(p, 1)
+	threads := make([]*Thread, n)
+	for i := range threads {
+		threads[i] = &Thread{tid: i + 1}
+		m.threads = append(m.threads, threads[i])
+		m.live++
 	}
-	procs := make([]*Proc, n)
-	for i := range procs {
-		procs[i] = &Proc{m: m, pid: i + 1, priority: 16}
-		m.procs = append(m.procs, procs[i])
+	return m, threads
+}
+
+// pick dequeues the next thread and prices it, as dispatch does.
+func pick(m *Machine) (*Thread, int, bool) {
+	th, _ := m.takeQueued(0)
+	if th == nil {
+		return nil, 0, false
 	}
-	return s, procs
+	th.state = sRunning
+	_, scanned, miss := m.pickCost(th)
+	return th, scanned, miss
 }
 
 func TestSchedulerStructures(t *testing.T) {
@@ -48,75 +53,91 @@ func TestSchedulerStructures(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			s, procs := mkSched(t, c.profile, 3)
+			m, threads := mkSched(t, c.profile, 3)
 
-			// Empty structure: nothing pending, nil pick, zero cost.
-			if s.pending() {
-				t.Fatal("empty scheduler reports pending work")
-			}
-			if p, cost := s.pick(); p != nil || cost.scanned != 0 || cost.tableMiss {
-				t.Fatalf("empty pick = %v cost %+v, want nil and zero", p, cost)
+			// Empty structure: nil pick.
+			if th, _, _ := pick(m); th != nil {
+				t.Fatalf("empty pick = %v, want nil", th)
 			}
 
 			// Double enqueue collapses to one entry.
-			s.enqueue(procs[0])
-			s.enqueue(procs[0])
-			if !s.pending() {
-				t.Fatal("enqueued process not pending")
-			}
-			got, cost := s.pick()
-			if got != procs[0] {
+			m.ready(0, threads[0])
+			m.ready(0, threads[0])
+			got, scanned, _ := pick(m)
+			if got != threads[0] {
 				t.Fatalf("picked %v, want pid 1", got)
 			}
-			if cost.scanned != c.scanned {
-				t.Fatalf("pick scanned %d tasks, want %d", cost.scanned, c.scanned)
+			if scanned != c.scanned {
+				t.Fatalf("pick scanned %d tasks, want %d", scanned, c.scanned)
 			}
-			if p, _ := s.pick(); p != nil {
-				t.Fatalf("double enqueue duplicated pid %d in the ready structure", p.pid)
-			}
-			if s.pending() {
-				t.Fatal("drained scheduler still reports pending work")
+			if th, _, _ := pick(m); th != nil {
+				t.Fatalf("double enqueue duplicated pid %d in the ready structure", th.tid)
 			}
 
 			// FIFO order for equal priorities, and a re-enqueue of an
-			// already-ready process keeps its queue position (the scan-all
+			// already-ready thread keeps its queue position (the scan-all
 			// goodness age is a property of the task, not the wakeup).
-			s.enqueue(procs[1])
-			s.enqueue(procs[2])
-			s.enqueue(procs[1])
-			if first, _ := s.pick(); first != procs[1] {
+			m.ready(0, threads[1])
+			m.ready(0, threads[2])
+			m.ready(0, threads[1])
+			if first, _, _ := pick(m); first != threads[1] {
 				t.Fatalf("re-enqueue moved pid 2 from the queue head; picked %v", first)
 			}
-			if second, _ := s.pick(); second != procs[2] {
+			if second, _, _ := pick(m); second != threads[2] {
 				t.Fatalf("picked %v second, want pid 3", second)
 			}
-			if p, _ := s.pick(); p != nil {
-				t.Fatalf("phantom third entry pid %d after two enqueues", p.pid)
+			if th, _, _ := pick(m); th != nil {
+				t.Fatalf("phantom third entry pid %d after two enqueues", th.tid)
 			}
 		})
 	}
 }
 
 // TestPreemptiveDispatchTable pins the Solaris table mechanics: a cold
-// pick reloads the bounded dispatch resource (tableMiss), an immediately
-// repeated pick of the same process hits.
+// pick reloads the bounded dispatch resource (miss), an immediately
+// repeated pick of the same thread hits.
 func TestPreemptiveDispatchTable(t *testing.T) {
 	p := osprofile.Solaris24()
 	if p.Kernel.CtxTableSize <= 0 {
 		t.Fatal("Solaris personality lost its bounded dispatch table")
 	}
-	s, procs := mkSched(t, p, 2)
-	s.enqueue(procs[0])
-	if _, cost := s.pick(); !cost.tableMiss {
+	m, threads := mkSched(t, p, 2)
+	m.ready(0, threads[0])
+	if _, _, miss := pick(m); !miss {
 		t.Fatal("cold pick did not reload the dispatch table")
 	}
-	s.enqueue(procs[0])
-	if _, cost := s.pick(); cost.tableMiss {
+	m.ready(0, threads[0])
+	if _, _, miss := pick(m); miss {
 		t.Fatal("immediately repeated pick missed the dispatch table")
 	}
-	// A different process evicts nothing at size 32 but still misses cold.
-	s.enqueue(procs[1])
-	if _, cost := s.pick(); !cost.tableMiss {
-		t.Fatal("first pick of a second process did not miss the table")
+	// A different thread evicts nothing at size 32 but still misses cold.
+	m.ready(0, threads[1])
+	if _, _, miss := pick(m); !miss {
+		t.Fatal("first pick of a second thread did not miss the table")
+	}
+}
+
+// TestRunQueueRingWraps pins the head-indexed ring behind the run
+// queues: FIFO order survives wraparound and growth.
+func TestRunQueueRingWraps(t *testing.T) {
+	var q runQueue
+	threads := make([]*Thread, 40)
+	for i := range threads {
+		threads[i] = &Thread{tid: i + 1}
+	}
+	next := 0
+	for round := 0; round < 5; round++ {
+		for i := 0; i < 7; i++ { // push 7, pop 5: the ring wraps and grows
+			q.push(threads[(round*7+i)%len(threads)])
+		}
+		for i := 0; i < 5; i++ {
+			if got := q.pop(); got != threads[next%len(threads)] {
+				t.Fatalf("round %d: popped pid %d, want %d", round, got.tid, next%len(threads)+1)
+			}
+			next++
+		}
+	}
+	if q.n != 10 {
+		t.Fatalf("%d queued, want 10", q.n)
 	}
 }

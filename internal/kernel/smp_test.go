@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/obs"
@@ -20,8 +21,8 @@ func lockWorkerOps(l *Lock, think, crit sim.Duration) []Op {
 }
 
 // runContention builds and runs one lock-contention machine.
-func runContention(p *osprofile.Profile, kind LockKind, ncpu, nthreads, iters int) (*SMPMachine, *Lock) {
-	m := MustSMPMachine(p, ncpu)
+func runContention(p *osprofile.Profile, kind LockKind, ncpu, nthreads, iters int) (*Machine, *Lock) {
+	m := MustMachine(p, ncpu)
 	l := m.NewLock(kind)
 	for i := 0; i < nthreads; i++ {
 		// Stagger thinks so spinners do not phase-lock (same trick the
@@ -113,7 +114,7 @@ func TestSMPWorkStealing(t *testing.T) {
 	if !p.Kernel.PerCPUQueues {
 		t.Fatal("Solaris personality lost its per-CPU queues")
 	}
-	m := MustSMPMachine(p, 2)
+	m := MustMachine(p, 2)
 	// Homes alternate by spawn order: t1, t3 land on CPU 0, t2 on CPU 1.
 	// CPU 1 finishes its short thread first and steals t3 from CPU 0.
 	m.SpawnThread("long-a", []Op{{Kind: OpThink, D: 100 * sim.Microsecond}}, 1)
@@ -124,7 +125,7 @@ func TestSMPWorkStealing(t *testing.T) {
 		t.Fatal("idle CPU never stole from the loaded CPU's queue")
 	}
 	// A global-queue personality on the same workload steals nothing.
-	g := MustSMPMachine(osprofile.Linux128(), 2)
+	g := MustMachine(osprofile.Linux128(), 2)
 	g.SpawnThread("long-a", []Op{{Kind: OpThink, D: 100 * sim.Microsecond}}, 1)
 	g.SpawnThread("short", []Op{{Kind: OpThink, D: 1 * sim.Microsecond}}, 1)
 	g.SpawnThread("long-b", []Op{{Kind: OpThink, D: 100 * sim.Microsecond}}, 1)
@@ -138,7 +139,7 @@ func TestSMPWorkStealing(t *testing.T) {
 // sleep lock it holds blocks forever, and Run reports it as a
 // *sim.DeadlockError instead of hanging or finishing silently.
 func TestSMPDeadlockPanics(t *testing.T) {
-	m := MustSMPMachine(osprofile.Linux128(), 2)
+	m := MustMachine(osprofile.Linux128(), 2)
 	l := m.NewLock(SleepLock)
 	m.SpawnThread("self-deadlock", []Op{
 		{Kind: OpLock, L: l},
@@ -164,7 +165,7 @@ func TestSMPDeadlockPanics(t *testing.T) {
 // in the spin ledger), and the ledgers stay exact.
 func TestSMPRCU(t *testing.T) {
 	p := osprofile.FreeBSD205()
-	m := MustSMPMachine(p, 2)
+	m := MustMachine(p, 2)
 	r := m.NewRCU()
 	m.SpawnThread("reader", []Op{{Kind: OpRCURead, R: r, D: 100 * sim.Microsecond}}, 1)
 	m.SpawnThread("writer", []Op{
@@ -188,11 +189,12 @@ func TestSMPRCU(t *testing.T) {
 	}
 }
 
-// TestSMPObserveTracks pins the obs contract: one track per CPU, spans
-// only when observing, and observation never perturbs timing.
+// TestSMPObserveTracks pins the obs contract: one kernel track per CPU
+// plus one track per thread, spans only when observing, and observation
+// never perturbs timing.
 func TestSMPObserveTracks(t *testing.T) {
-	run := func(observe bool) (*SMPMachine, *obs.Recorder) {
-		m := MustSMPMachine(osprofile.Linux128(), 2)
+	run := func(observe bool) (*Machine, *obs.Recorder) {
+		m := MustMachine(osprofile.Linux128(), 2)
 		var rec *obs.Recorder
 		if observe {
 			rec = obs.NewRecorder(m.Clock())
@@ -211,9 +213,11 @@ func TestSMPObserveTracks(t *testing.T) {
 		t.Fatalf("observation perturbed the run: %v/%d vs %v/%d",
 			plain.Elapsed(), plain.Switches(), observed.Elapsed(), observed.Switches())
 	}
-	// The recorder's built-in main track plus one per CPU.
-	if tracks := rec.Tracks(); len(tracks) != 3 {
-		t.Fatalf("tracks = %v, want main plus one per CPU", tracks)
+	// The recorder's built-in main track, one kernel track per CPU, and
+	// one track per thread.
+	want := []string{"main", "kernel cpu0", "kernel cpu1", "pid 1 w", "pid 2 w"}
+	if tracks := rec.Tracks(); fmt.Sprint(tracks) != fmt.Sprint(want) {
+		t.Fatalf("tracks = %v, want %v", tracks, want)
 	}
 	begins, ends, spins := 0, 0, 0
 	for _, e := range rec.Events() {

@@ -55,27 +55,23 @@ func (m *Machine) TraceEvents() []TraceEvent {
 }
 
 // Observe attaches an obs recorder: kernel narration becomes obs instant
-// events, dispatches and syscalls become spans, and each process gets its
-// own track. Pass nil to detach. Processes spawned both before and after
-// the call are covered.
+// events, dispatches, wakeups, syscalls and copies become spans, and
+// each thread gets its own track ("pid N name") carrying its run,
+// syscall, copy and spin spans. Kernel work lands on a "kernel" track —
+// one per CPU ("kernel cpuN") on a multiprocessor. Pass nil to detach.
+// Threads spawned both before and after the call are covered.
 func (m *Machine) Observe(rec *obs.Recorder) {
 	m.rec = rec
-	if rec == nil {
-		m.kernelTrack = 0
-		return
+	for c := range m.kernelTracks {
+		name := "kernel"
+		if m.ncpu > 1 {
+			name = fmt.Sprintf("kernel cpu%d", c)
+		}
+		m.kernelTracks[c] = rec.Track(name)
 	}
-	m.kernelTrack = rec.Track("kernel")
-	for _, p := range m.procs {
-		p.track = rec.Track(p.trackName())
+	for _, t := range m.threads {
+		t.track = rec.Track(t.trackName())
 	}
-}
-
-// Recorder returns the attached obs recorder (nil when detached).
-func (m *Machine) Recorder() *obs.Recorder { return m.rec }
-
-// trackName labels a process's timeline in trace exports.
-func (p *Proc) trackName() string {
-	return fmt.Sprintf("pid %d %s", p.pid, p.name)
 }
 
 // observing reports whether any narrative sink (text trace ring or obs
@@ -84,8 +80,9 @@ func (p *Proc) trackName() string {
 // off — that guard is what keeps the disabled path at zero allocations.
 func (m *Machine) observing() bool { return m.tracing || m.rec != nil }
 
-// trace records one narrated event to every attached sink.
-func (m *Machine) trace(kind string, pid int, format string, args ...any) {
+// trace records one narrated event, stamped with CPU c's clock, to every
+// attached sink.
+func (m *Machine) trace(c int, kind string, pid int, format string, args ...any) {
 	if !m.observing() {
 		return
 	}
@@ -94,7 +91,7 @@ func (m *Machine) trace(kind string, pid int, format string, args ...any) {
 		detail = fmt.Sprintf(format, args...)
 	}
 	if m.tracing {
-		e := TraceEvent{When: m.clock.Now(), Kind: kind, PID: pid, Detail: detail}
+		e := TraceEvent{When: m.now[c], Kind: kind, PID: pid, Detail: detail}
 		if len(m.traceBuf) == m.traceLimit {
 			m.traceBuf[m.traceHead] = e
 			m.traceHead++
@@ -106,6 +103,6 @@ func (m *Machine) trace(kind string, pid int, format string, args ...any) {
 		}
 	}
 	if m.rec != nil {
-		m.rec.Instant(m.kernelTrack, kind, pid, detail)
+		m.rec.InstantAt(m.now[c], m.kernelTracks[c], kind, pid, detail)
 	}
 }

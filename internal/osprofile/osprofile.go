@@ -113,7 +113,7 @@ type KernelCosts struct {
 	// virtual CPU its own queue with deterministic work stealing
 	// (Solaris' per-CPU dispatch queues), false shares one global queue
 	// (the Linux 1.2 / 4.4BSD big-lock structure). Irrelevant at one CPU,
-	// where both reduce to the uniprocessor scheduler bit for bit.
+	// where both reduce to one FIFO queue.
 	PerCPUQueues bool
 	// StealCost is the extra dispatch cost of pulling a thread off
 	// another CPU's queue (PerCPUQueues only).

@@ -7,9 +7,9 @@ import (
 
 // DeadlockError is the structured form of the kernel's deadlock panic: a
 // machine stopped with processes still blocked and nothing runnable. The
-// kernel raises it through panic so simulated-process goroutines unwind,
-// and the CLI recovers it at the dispatch boundary and renders the
-// diagnostic instead of a Go stack trace.
+// kernel raises it through panic (kernel.Machine.RunChecked turns it into
+// an error), and the CLI recovers it at the dispatch boundary and renders
+// the diagnostic instead of a Go stack trace.
 type DeadlockError struct {
 	// Now is the virtual time the machine stopped at.
 	Now Time
