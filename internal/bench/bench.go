@@ -79,14 +79,14 @@ const (
 // operations, as the paper's numbers do) for the given number of
 // processes.
 func Ctx(plat Platform, p *osprofile.Profile, nproc int, order CtxOrder) sim.Duration {
-	if nproc < 2 {
-		panic("bench: ctx needs at least two processes")
-	}
 	return ctxOn(kernel.MustMachine(p, 1), nproc, order)
 }
 
 // ctxOn runs the ctx benchmark on a prepared machine (possibly observed).
 func ctxOn(m *kernel.Machine, nproc int, order CtxOrder) sim.Duration {
+	if nproc < 2 {
+		panic("bench: ctx needs at least two processes")
+	}
 	// Scale work down for big rings so every configuration does a few
 	// thousand hops; the per-switch mean is what matters.
 	hops := CtxSwitches

@@ -2,10 +2,8 @@ package bench
 
 import (
 	"repro/internal/disk"
-	"repro/internal/fault"
 	"repro/internal/netstack"
 	"repro/internal/nfs"
-	"repro/internal/obs"
 	"repro/internal/osprofile"
 	"repro/internal/sim"
 )
@@ -62,10 +60,17 @@ func NewNFSServer(kind NFSServerKind, seed uint64) *nfs.Server {
 }
 
 // MABNFS runs the Modified Andrew Benchmark with the given OS as the NFS
-// client against the chosen server (Tables 6 and 7). FreeBSD clients
-// mount with the reserved-port option when the server is Linux, working
-// around the §11 quirk exactly as the authors had to.
+// client against the chosen server (Tables 6 and 7).
 func MABNFS(p *osprofile.Profile, kind NFSServerKind, cfg MABConfig, seed uint64) MABResult {
+	clock, _, mount := mabnfsSetup(p, kind, seed)
+	return MABOn(clock, mount, p, cfg)
+}
+
+// mabnfsSetup builds the benchmark's server, its clock and the client's
+// mount. FreeBSD clients mount with the reserved-port option when the
+// server is Linux, working around the §11 quirk exactly as the authors
+// had to.
+func mabnfsSetup(p *osprofile.Profile, kind NFSServerKind, seed uint64) (*sim.Clock, *nfs.Server, *nfs.Mount) {
 	clock := &sim.Clock{}
 	server := NewNFSServer(kind, seed)
 	opts := nfs.MountOptions{}
@@ -76,46 +81,9 @@ func MABNFS(p *osprofile.Profile, kind NFSServerKind, cfg MABConfig, seed uint64
 	if err != nil {
 		panic(err)
 	}
-	return MABOn(clock, mount, p, cfg)
+	return clock, server, mount
 }
 
 // mabPhaseKeys are metric-name slugs for MABResult.Phase, index-aligned
 // with PhaseNames.
 var mabPhaseKeys = [5]string{"mkdir", "copy", "stat", "read", "compile"}
-
-// MABNFSObserved is MABNFS with metrics and fault injection: the network
-// injector rides the mount's RPC path (hard-mount retry under loss), and
-// the disk/cache injectors ride the server's local file system. The
-// snapshot carries the per-phase times, the client's RPC counters
-// (including retransmits when faults fired), the server's file system
-// and disk counters, and the injector counters. Zero-value injectors
-// leave the run byte-identical to MABNFS.
-func MABNFSObserved(p *osprofile.Profile, kind NFSServerKind, cfg MABConfig, seed uint64, inj fault.Injectors) (MABResult, Observation) {
-	clock := &sim.Clock{}
-	server := NewNFSServer(kind, seed)
-	server.SetFaults(inj)
-	opts := nfs.MountOptions{}
-	if server.OS().NFS.RequiresPrivPort && !p.NFS.SendsPrivPort {
-		opts.ResvPort = true
-	}
-	mount, err := nfs.NewMount(clock, p, server, netstack.Ethernet10(), opts)
-	if err != nil {
-		panic(err)
-	}
-	mount.SetFaults(inj.Net)
-	res := MABOn(clock, mount, p, cfg)
-	reg := obs.NewRegistry()
-	for i, key := range mabPhaseKeys {
-		reg.Counter("mab.phase_us." + key).Add(res.Phase[i].Microseconds())
-	}
-	mount.Stats().FoldMetrics(reg, "nfs.")
-	server.FS().FoldMetrics(reg, "srv.fs.")
-	server.FS().Disk().Stats().FoldMetrics(reg, "srv.disk.")
-	inj.FoldMetrics(reg, "fault.")
-	rec := obs.NewRing(nil, TraceRingCap)
-	return res, Observation{
-		Process: rec.Capture(p.String()),
-		Metrics: reg.Snapshot(),
-		Total:   res.Total,
-	}
-}

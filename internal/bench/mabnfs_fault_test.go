@@ -24,9 +24,9 @@ func TestMABNFSCompletesOverLossyUDP(t *testing.T) {
 	}
 	run := func() (MABResult, Observation) {
 		inj := fault.New(plan, sim.NewRNG(7))
-		return MABNFSObserved(osprofile.Solaris24(), ServerLinux, DefaultMAB(), 7, inj)
+		return Observer{Faults: inj}.MABNFS(osprofile.Solaris24(), ServerLinux, DefaultMAB(), 7)
 	}
-	clean, cleanObs := MABNFSObserved(osprofile.Solaris24(), ServerLinux, DefaultMAB(), 7, fault.Injectors{})
+	clean, cleanObs := Observer{}.MABNFS(osprofile.Solaris24(), ServerLinux, DefaultMAB(), 7)
 	res, o := run()
 
 	if res.Total <= 0 {

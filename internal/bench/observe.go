@@ -1,11 +1,9 @@
 package bench
 
-// This file holds the observed benchmark variants: each runs the
+// This file holds the observed benchmark entry points: each runs the
 // identical workload as its plain counterpart — same machine, same seed,
-// same charges, so the returned measurement is bit-identical — but with
-// an obs.Recorder attached to the model and the model's counters folded
-// into a metric snapshot afterwards. These feed `pentiumbench trace` and
-// `pentiumbench metrics`.
+// same charges, so the returned measurement is bit-identical — with an
+// obs.Recorder attached and the model's counters folded into a snapshot.
 
 import (
 	"repro/internal/fault"
@@ -38,82 +36,74 @@ type Observation struct {
 	Total sim.Duration
 }
 
-// captureMachine snapshots an observed kernel machine run.
-func captureMachine(m *kernel.Machine, rec *obs.Recorder, p *osprofile.Profile) Observation {
+// Observer runs the observed variant of each benchmark with its optional
+// instruments attached. The zero Observer traces and counts only.
+type Observer struct {
+	// Faults ride the charge paths of the disk, network and buffer-cache
+	// models (Crtdel, BwTCP, TTCP, MABNFS) and join the snapshot under
+	// "fault."; the zero value injects nothing.
+	Faults fault.Injectors
+	// Sampler, when non-nil, records virtual-time series from the kernel
+	// scheduler (switches, runnable) and the benchmark disk (ops, busy
+	// and fault time).
+	Sampler *obs.Sampler
+}
+
+// CtxObserved is Observer{}.Ctx: the Figure 1 context-switch ring with
+// tracing and metrics and no further instruments.
+func CtxObserved(plat Platform, p *osprofile.Profile, nproc int, order CtxOrder) (sim.Duration, Observation) {
+	return Observer{}.Ctx(plat, p, nproc, order)
+}
+
+// observeMachine runs one kernel benchmark body on an observed
+// uniprocessor machine and snapshots it.
+func (o Observer) observeMachine(p *osprofile.Profile, body func(*kernel.Machine) sim.Duration) (sim.Duration, Observation) {
+	m := kernel.MustMachine(p, 1)
+	rec := obs.NewRing(m.Clock(), TraceRingCap)
+	m.Observe(rec)
+	m.SetSampler(o.Sampler)
+	d := body(m)
 	reg := obs.NewRegistry()
 	m.FoldMetrics(reg, "kernel.")
-	return Observation{
+	return d, Observation{
 		Process: rec.Capture(p.String()),
 		Metrics: reg.Snapshot(),
 		Total:   m.Elapsed(),
 	}
 }
 
-// GetpidObserved is Getpid with tracing and metrics.
-func GetpidObserved(plat Platform, p *osprofile.Profile) (sim.Duration, Observation) {
-	m := kernel.MustMachine(p, 1)
-	rec := obs.NewRing(m.Clock(), TraceRingCap)
-	m.Observe(rec)
-	d := getpidOn(m)
-	return d, captureMachine(m, rec, p)
+// Getpid is the observed Getpid.
+func (o Observer) Getpid(plat Platform, p *osprofile.Profile) (sim.Duration, Observation) {
+	return o.observeMachine(p, getpidOn)
 }
 
-// CtxObserved is Ctx with tracing and metrics: the Figure 1 decomposition
-// of a context switch into syscall-entry, copy, wakeup and dispatch
-// spans.
-func CtxObserved(plat Platform, p *osprofile.Profile, nproc int, order CtxOrder) (sim.Duration, Observation) {
-	return CtxSampled(plat, p, nproc, order, nil)
+// Ctx is the observed Ctx: the Figure 1 decomposition of a context
+// switch into syscall-entry, copy, wakeup and dispatch spans.
+func (o Observer) Ctx(plat Platform, p *osprofile.Profile, nproc int, order CtxOrder) (sim.Duration, Observation) {
+	return o.observeMachine(p, func(m *kernel.Machine) sim.Duration { return ctxOn(m, nproc, order) })
 }
 
-// CtxSampled is CtxObserved with a virtual-time time-series sampler
-// attached to the machine (kernel.switches per window, kernel.runnable
-// gauge). A nil sampler makes it exactly CtxObserved.
-func CtxSampled(plat Platform, p *osprofile.Profile, nproc int, order CtxOrder, smp *obs.Sampler) (sim.Duration, Observation) {
-	if nproc < 2 {
-		panic("bench: ctx needs at least two processes")
-	}
-	m := kernel.MustMachine(p, 1)
-	rec := obs.NewRing(m.Clock(), TraceRingCap)
-	m.Observe(rec)
-	m.SetSampler(smp)
-	d := ctxOn(m, nproc, order)
-	return d, captureMachine(m, rec, p)
+// BwPipe is the observed BwPipe.
+func (o Observer) BwPipe(plat Platform, p *osprofile.Profile) (float64, Observation) {
+	elapsed, ob := o.observeMachine(p, bwPipeOn)
+	return netstack.BandwidthMbps(BwPipeTotal, elapsed), ob
 }
 
-// BwPipeObserved is BwPipe with tracing and metrics.
-func BwPipeObserved(plat Platform, p *osprofile.Profile) (float64, Observation) {
-	m := kernel.MustMachine(p, 1)
-	rec := obs.NewRing(m.Clock(), TraceRingCap)
-	m.Observe(rec)
-	elapsed := bwPipeOn(m)
-	return netstack.BandwidthMbps(BwPipeTotal, elapsed), captureMachine(m, rec, p)
-}
-
-// CrtdelObserved is Crtdel with tracing and metrics: the Figure 12
-// decomposition of a create/delete cycle into VFS, copy, allocation,
-// metadata-sync, disk-read and write-back spans. A fault injector's
-// disk and cache faults ride the same charge paths, so the phase ledger
-// stays exact under injection; zero-value injectors add nothing and the
-// run is byte-identical to the unfaulted one.
-func CrtdelObserved(plat Platform, p *osprofile.Profile, fileBytes int64, seed uint64, inj fault.Injectors) (sim.Duration, Observation) {
-	return CrtdelSampled(plat, p, fileBytes, seed, inj, nil)
-}
-
-// CrtdelSampled is CrtdelObserved with a virtual-time time-series
-// sampler attached to the benchmark disk (disk.ops, disk.busy_ns and
-// injected fault time per window). A nil sampler makes it exactly
-// CrtdelObserved.
-func CrtdelSampled(plat Platform, p *osprofile.Profile, fileBytes int64, seed uint64, inj fault.Injectors, smp *obs.Sampler) (sim.Duration, Observation) {
+// Crtdel is the observed Crtdel: the Figure 12 decomposition of a
+// create/delete cycle into VFS, copy, allocation, metadata-sync,
+// disk-read and write-back spans. Disk and cache faults ride the same
+// charge paths, so the phase ledger stays exact under injection.
+func (o Observer) Crtdel(plat Platform, p *osprofile.Profile, fileBytes int64, seed uint64) (sim.Duration, Observation) {
 	clock, fsys := crtdelSetup(plat, p, seed)
-	fsys.SetFaults(inj)
-	fsys.Disk().Sample(clock, smp)
+	fsys.SetFaults(o.Faults)
+	fsys.Disk().Sample(clock, o.Sampler)
 	rec := obs.NewRing(clock, TraceRingCap)
 	fsys.Observe(rec)
 	d := crtdelOn(clock, fsys, fileBytes)
 	reg := obs.NewRegistry()
 	fsys.FoldMetrics(reg, "fs.")
 	fsys.Disk().Stats().FoldMetrics(reg, "disk.")
-	inj.FoldMetrics(reg, "fault.")
+	o.Faults.FoldMetrics(reg, "fault.")
 	return d, Observation{
 		Process: rec.Capture(p.String()),
 		Metrics: reg.Snapshot(),
@@ -121,19 +111,19 @@ func CrtdelSampled(plat Platform, p *osprofile.Profile, fileBytes int64, seed ui
 	}
 }
 
-// BwTCPObserved is BwTCP with tracing and metrics: the sliding-window
-// walk decomposed into segment, ack and scheduler-switch time (plus
-// fault time when an injector drops segments or delays acks — the
-// four-term identity still sums to the elapsed transfer exactly).
-func BwTCPObserved(p *osprofile.Profile, windowOverride int, inj fault.Injectors) (float64, Observation) {
+// BwTCP is the observed BwTCP: the sliding-window walk decomposed into
+// segment, ack and scheduler-switch time (plus fault time when an
+// injector drops segments or delays acks — the four-term identity still
+// sums to the elapsed transfer exactly).
+func (o Observer) BwTCP(p *osprofile.Profile, windowOverride int) (float64, Observation) {
 	c := netstack.MustTCP(p)
 	c.WindowOverride = windowOverride
-	c.Faults = inj.Net
+	c.Faults = o.Faults.Net
 	rec := obs.NewRing(nil, TraceRingCap)
 	elapsed, st := c.TransferObserved(BwTCPTotal, rec)
 	reg := obs.NewRegistry()
 	st.FoldMetrics(reg, "tcp.")
-	inj.FoldMetrics(reg, "fault.")
+	o.Faults.FoldMetrics(reg, "fault.")
 	return netstack.BandwidthMbps(BwTCPTotal, elapsed), Observation{
 		Process: rec.Capture(p.String()),
 		Metrics: reg.Snapshot(),
@@ -141,15 +131,15 @@ func BwTCPObserved(p *osprofile.Profile, windowOverride int, inj fault.Injectors
 	}
 }
 
-// TTCPObserved is TTCP with metrics: the transfer's time decomposed into
+// TTCP is the observed TTCP: the transfer's time decomposed into
 // per-packet processing, data copies, syscall entry, and (under
 // injection) duplicate-delivery fault time. The components are
 // accumulated per datagram exactly as Transfer charges them, so they
 // sum to the transfer time to the nanosecond. Oversized packet sizes
 // clamp to the personality's maximum datagram, as in TTCP.
-func TTCPObserved(p *osprofile.Profile, packetSize int, inj fault.Injectors) (float64, Observation) {
+func (o Observer) TTCP(p *osprofile.Profile, packetSize int) (float64, Observation) {
 	u := netstack.MustUDP(p)
-	u.Faults = inj.Net
+	u.Faults = o.Faults.Net
 	if packetSize > u.MaxDatagram() {
 		packetSize = u.MaxDatagram()
 	}
@@ -163,11 +153,38 @@ func TTCPObserved(p *osprofile.Profile, packetSize int, inj fault.Injectors) (fl
 	if st.FaultTime > 0 {
 		reg.Counter("udp.fault_us").Add(st.FaultTime.Microseconds())
 	}
-	inj.FoldMetrics(reg, "fault.")
+	o.Faults.FoldMetrics(reg, "fault.")
 	rec := obs.NewRing(nil, TraceRingCap)
 	return netstack.BandwidthMbps(TTCPTotal, total), Observation{
 		Process: rec.Capture(p.String()),
 		Metrics: reg.Snapshot(),
 		Total:   total,
+	}
+}
+
+// MABNFS is the observed MABNFS: the network injector rides the mount's
+// RPC path (hard-mount retry under loss), and the disk/cache injectors
+// ride the server's local file system. The snapshot carries the
+// per-phase times, the client's RPC counters (including retransmits when
+// faults fired), the server's file system and disk counters, and the
+// injector counters.
+func (o Observer) MABNFS(p *osprofile.Profile, kind NFSServerKind, cfg MABConfig, seed uint64) (MABResult, Observation) {
+	clock, server, mount := mabnfsSetup(p, kind, seed)
+	server.SetFaults(o.Faults)
+	mount.SetFaults(o.Faults.Net)
+	res := MABOn(clock, mount, p, cfg)
+	reg := obs.NewRegistry()
+	for i, key := range mabPhaseKeys {
+		reg.Counter("mab.phase_us." + key).Add(res.Phase[i].Microseconds())
+	}
+	mount.Stats().FoldMetrics(reg, "nfs.")
+	server.FS().FoldMetrics(reg, "srv.fs.")
+	server.FS().Disk().Stats().FoldMetrics(reg, "srv.disk.")
+	o.Faults.FoldMetrics(reg, "fault.")
+	rec := obs.NewRing(nil, TraceRingCap)
+	return res, Observation{
+		Process: rec.Capture(p.String()),
+		Metrics: reg.Snapshot(),
+		Total:   res.Total,
 	}
 }

@@ -3,36 +3,45 @@ package bench
 import (
 	"testing"
 
-	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/osprofile"
+	"repro/internal/sim"
 )
 
 // TestObservedVariantsBitIdentical is the observability layer's central
-// promise at the benchmark level: attaching a recorder never changes a
-// measurement. Every observed variant must return exactly the plain
-// variant's value.
+// promise at the benchmark level: attaching a recorder, or a sampler,
+// never changes a measurement. Every observed entry point must return
+// exactly the plain benchmark's value.
 func TestObservedVariantsBitIdentical(t *testing.T) {
 	plat := PaperPlatform()
 	for _, p := range osprofile.Paper() {
 		p := p
 		t.Run(p.String(), func(t *testing.T) {
-			if d, _ := GetpidObserved(plat, p); d != Getpid(plat, p) {
-				t.Error("GetpidObserved diverges from Getpid")
+			for _, o := range []Observer{{}, {Sampler: obs.NewSampler(sim.Millisecond)}} {
+				if d, _ := o.Getpid(plat, p); d != Getpid(plat, p) {
+					t.Errorf("Observer%+v.Getpid diverges from Getpid", o)
+				}
+				if d, _ := o.Ctx(plat, p, 8, CtxRing); d != Ctx(plat, p, 8, CtxRing) {
+					t.Errorf("Observer%+v.Ctx diverges from Ctx", o)
+				}
+				if v, _ := o.BwPipe(plat, p); v != BwPipe(plat, p) {
+					t.Errorf("Observer%+v.BwPipe diverges from BwPipe", o)
+				}
+				if d, _ := o.Crtdel(plat, p, 64<<10, 1); d != Crtdel(plat, p, 64<<10, 1) {
+					t.Errorf("Observer%+v.Crtdel diverges from Crtdel", o)
+				}
+				if v, _ := o.BwTCP(p, 0); v != BwTCP(p, 0) {
+					t.Errorf("Observer%+v.BwTCP diverges from BwTCP", o)
+				}
+				if v, _ := o.TTCP(p, 1024); v != TTCP(p, 1024) {
+					t.Errorf("Observer%+v.TTCP diverges from TTCP", o)
+				}
 			}
 			if d, _ := CtxObserved(plat, p, 8, CtxRing); d != Ctx(plat, p, 8, CtxRing) {
 				t.Error("CtxObserved diverges from Ctx")
 			}
-			if v, _ := BwPipeObserved(plat, p); v != BwPipe(plat, p) {
-				t.Error("BwPipeObserved diverges from BwPipe")
-			}
-			if d, _ := CrtdelObserved(plat, p, 64<<10, 1, fault.Injectors{}); d != Crtdel(plat, p, 64<<10, 1) {
-				t.Error("CrtdelObserved diverges from Crtdel")
-			}
-			if v, _ := BwTCPObserved(p, 0, fault.Injectors{}); v != BwTCP(p, 0) {
-				t.Error("BwTCPObserved diverges from BwTCP")
-			}
-			if v, _ := TTCPObserved(p, 1024, fault.Injectors{}); v != TTCP(p, 1024) {
-				t.Error("TTCPObserved diverges from TTCP")
+			if r, _ := (Observer{}).MABNFS(p, ServerSunOS, DefaultMAB(), 1); r != MABNFS(p, ServerSunOS, DefaultMAB(), 1) {
+				t.Error("Observer.MABNFS diverges from MABNFS")
 			}
 		})
 	}
@@ -44,7 +53,7 @@ func TestObservedVariantsBitIdentical(t *testing.T) {
 func TestObservationsCarryData(t *testing.T) {
 	plat := PaperPlatform()
 	p := osprofile.FreeBSD205()
-	_, o := CrtdelObserved(plat, p, 64<<10, 1, fault.Injectors{})
+	_, o := Observer{}.Crtdel(plat, p, 64<<10, 1)
 	if o.Total <= 0 {
 		t.Fatal("crtdel observation has no total")
 	}
@@ -77,7 +86,7 @@ func BenchmarkCrtdelObserved(b *testing.B) {
 	plat := PaperPlatform()
 	p := osprofile.FreeBSD205()
 	for i := 0; i < b.N; i++ {
-		CrtdelObserved(plat, p, 64<<10, 1, fault.Injectors{})
+		Observer{}.Crtdel(plat, p, 64<<10, 1)
 	}
 }
 

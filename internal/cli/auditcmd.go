@@ -3,7 +3,6 @@ package cli
 import (
 	"encoding/json"
 	"fmt"
-	"slices"
 
 	"repro/internal/core"
 )
@@ -16,19 +15,9 @@ import (
 // machine-readable reports. Exit is nonzero when any invariant fails,
 // so the command doubles as a CI gate.
 func (a *App) audit(cfg core.Config, ids []string, opts core.ObserveOpts, format string) int {
-	auditable := core.AuditableIDs()
-	if len(ids) == 0 {
-		fmt.Fprintf(a.Stderr, "pentiumbench: audit needs experiment ids or 'all' (auditable: %v)\n", auditable)
+	ids, ok := a.capIDs("audit", ids, auditableSet, "%q is not auditable")
+	if !ok {
 		return 2
-	}
-	if len(ids) == 1 && ids[0] == "all" {
-		ids = auditable
-	}
-	for _, id := range ids {
-		if !slices.Contains(auditable, id) {
-			fmt.Fprintf(a.Stderr, "pentiumbench: %q is not auditable (auditable: %v)\n", id, auditable)
-			return 2
-		}
 	}
 	switch format {
 	case "", "text", "json":

@@ -13,6 +13,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -781,6 +782,7 @@ func (a *App) trace(cfg core.Config, runner *core.Runner, ids []string,
 	if len(ids) == 0 {
 		return a.traceTimeline(cfg, opts.Procs)
 	}
+	ids, _ = a.capIDs("trace", ids, observableSet, "")
 	suite, code := a.observeSuite(cfg, runner, ids, opts)
 	if suite == nil {
 		return code
@@ -898,14 +900,53 @@ func (a *App) traceTimeline(cfg core.Config, procs int) int {
 	return 0
 }
 
-// observeSuite resolves the id list ("all" → every probe) and runs the
-// observability probes on the pool. A nil suite means the int is the
-// exit code.
+// idSet is one capability set derived from the experiment descriptors,
+// under the name the CLI and serve messages give it.
+type idSet struct {
+	name string
+	ids  func() []string
+}
+
+var (
+	observableSet = idSet{"observable", core.ObservableIDs}
+	sampledSet    = idSet{"sampled", core.SampledIDs}
+	faultableSet  = idSet{"faultable", core.FaultableIDs}
+	exemplarSet   = idSet{"instrumented", core.ExemplarIDs}
+	auditableSet  = idSet{"auditable", core.AuditableIDs}
+)
+
+func (s idSet) has(id string) bool { return slices.Contains(s.ids(), id) }
+
+// explain formats a message and names the set after it.
+func (s idSet) explain(format string, args ...any) string {
+	return fmt.Sprintf(format, args...) + fmt.Sprintf(" (%s: %v)", s.name, s.ids())
+}
+
+// capIDs expands a command's id arguments against a set: no ids is a
+// usage error naming the set, "all" is the whole set, and when notIn is
+// non-empty it formats the error for an id outside the set. On false
+// the error is printed and the exit code is 2.
+func (a *App) capIDs(cmd string, ids []string, s idSet, notIn string) ([]string, bool) {
+	if len(ids) == 0 {
+		fmt.Fprintln(a.Stderr, "pentiumbench:", s.explain("%s needs experiment ids or 'all'", cmd))
+		return nil, false
+	}
+	if len(ids) == 1 && ids[0] == "all" {
+		return s.ids(), true
+	}
+	for _, id := range ids {
+		if notIn != "" && !s.has(id) {
+			fmt.Fprintln(a.Stderr, "pentiumbench:", s.explain(notIn, id))
+			return nil, false
+		}
+	}
+	return ids, true
+}
+
+// observeSuite runs the observability probes for resolved ids on the
+// pool. A nil suite means the int is the exit code.
 func (a *App) observeSuite(cfg core.Config, runner *core.Runner, ids []string,
 	opts core.ObserveOpts) (*core.SuiteObservation, int) {
-	if len(ids) == 1 && ids[0] == "all" {
-		ids = core.ObservableIDs()
-	}
 	suite, err := runner.Observe(cfg, ids, opts)
 	if err != nil {
 		fmt.Fprintln(a.Stderr, "pentiumbench:", err)
@@ -919,9 +960,8 @@ func (a *App) observeSuite(cfg core.Config, runner *core.Runner, ids []string,
 // phase. The columns sum to the total, by construction of the phase
 // ledgers.
 func (a *App) metrics(cfg core.Config, runner *core.Runner, ids []string, opts core.ObserveOpts) int {
-	if len(ids) == 0 {
-		fmt.Fprintf(a.Stderr, "pentiumbench: metrics needs experiment ids or 'all' (observable: %v)\n",
-			core.ObservableIDs())
+	ids, ok := a.capIDs("metrics", ids, observableSet, "")
+	if !ok {
 		return 2
 	}
 	suite, code := a.observeSuite(cfg, runner, ids, opts)

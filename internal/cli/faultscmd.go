@@ -26,13 +26,9 @@ func (a *App) faults(cfg core.Config, runner *core.Runner, ids []string,
 		fmt.Fprintln(a.Stderr, "pentiumbench: the fault plan is inert (every probability is zero)")
 		return 2
 	}
-	if len(ids) == 0 {
-		fmt.Fprintf(a.Stderr, "pentiumbench: faults needs experiment ids or 'all' (faultable: %v)\n",
-			core.FaultableIDs())
+	ids, ok := a.capIDs("faults", ids, faultableSet, "")
+	if !ok {
 		return 2
-	}
-	if len(ids) == 1 && ids[0] == "all" {
-		ids = core.FaultableIDs()
 	}
 	clean, code := a.observeSuite(cfg, runner, ids, opts)
 	if clean == nil {

@@ -16,9 +16,8 @@ import (
 // canonical, so the worker count can never leak into the output.
 func (a *App) profileCmd(cfg core.Config, runner *core.Runner, ids []string,
 	opts core.ObserveOpts, format string, top int, outPath string) int {
-	if len(ids) == 0 {
-		fmt.Fprintf(a.Stderr, "pentiumbench: profile needs experiment ids or 'all' (observable: %v)\n",
-			core.ObservableIDs())
+	ids, ok := a.capIDs("profile", ids, observableSet, "")
+	if !ok {
 		return 2
 	}
 	suite, code := a.observeSuite(cfg, runner, ids, opts)

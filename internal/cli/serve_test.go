@@ -320,11 +320,28 @@ func TestServeExemplarsEndpoint(t *testing.T) {
 		t.Fatal("no exemplars in any window")
 	}
 
-	// Probes without exemplar instrumentation are a 404.
-	resp2, _ := get(t, srv.URL+"/api/exemplars/F1", nil)
-	if resp2.StatusCode != http.StatusNotFound {
-		t.Fatalf("uninstrumented id status = %d, want 404", resp2.StatusCode)
+	// Experiments without exemplar instrumentation are a 404 naming the
+	// instrumented set — an observable probe and an unobservable exhibit
+	// alike.
+	for _, id := range []string{"F1", "L1"} {
+		resp2, body2 := get(t, srv.URL+"/api/exemplars/"+id, nil)
+		want := fmt.Sprintf(`%q has no exemplar instrumentation (instrumented: [S1 S2])`, id)
+		if resp2.StatusCode != http.StatusNotFound || errorText(t, body2) != want {
+			t.Fatalf("%s: status %d, body %s; want 404 %q", id, resp2.StatusCode, body2, want)
+		}
 	}
+}
+
+// errorText decodes a JSON error reply's message.
+func errorText(t *testing.T, body []byte) string {
+	t.Helper()
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(body, &e); err != nil {
+		t.Fatalf("error body malformed: %s", body)
+	}
+	return e.Error
 }
 
 // The audit endpoint returns a clean machine-readable verdict for the
@@ -356,9 +373,23 @@ func TestServeAuditEndpoint(t *testing.T) {
 		}
 	}
 
-	resp2, _ := get(t, srv.URL+"/api/audit/F1", nil)
-	if resp2.StatusCode != http.StatusNotFound {
-		t.Fatalf("unauditable id status = %d, want 404", resp2.StatusCode)
+	resp2, body2 := get(t, srv.URL+"/api/audit/F1", nil)
+	want := `no audit for "F1" (auditable: [S1 S2 L1])`
+	if resp2.StatusCode != http.StatusNotFound || errorText(t, body2) != want {
+		t.Fatalf("unauditable id: status %d, body %s; want 404 %q", resp2.StatusCode, body2, want)
+	}
+
+	// L1 is auditable without being observable: the SMP ledger and lock
+	// flow-balance checks, one report per personality and lock kind.
+	resp3, body3 := get(t, srv.URL+"/api/audit/L1", nil)
+	if resp3.StatusCode != http.StatusOK {
+		t.Fatalf("L1 audit status = %d: %s", resp3.StatusCode, body3)
+	}
+	if err := json.Unmarshal(body3, &verdict); err != nil {
+		t.Fatalf("L1 audit is not JSON: %v", err)
+	}
+	if verdict.ID != "L1" || !verdict.OK || len(verdict.Reports) != 6 {
+		t.Fatalf("bad L1 verdict: %s", body3)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -69,12 +68,15 @@ func newServeHandler(cfg core.Config, runner *core.Runner, opts cmdOpts,
 	h.mux.HandleFunc("/api/experiments", h.handle(func(r *http.Request) serveEntry {
 		return h.experiments()
 	}))
-	h.mux.HandleFunc("/api/metrics/", h.handleID("/api/metrics/", h.metrics))
-	h.mux.HandleFunc("/api/timeseries/", h.handleID("/api/timeseries/", h.timeseries))
-	h.mux.HandleFunc("/api/trace/", h.handleID("/api/trace/", h.trace))
-	h.mux.HandleFunc("/api/profile/", h.handleID("/api/profile/", h.profile))
-	h.mux.HandleFunc("/api/exemplars/", h.handleID("/api/exemplars/", h.exemplars))
-	h.mux.HandleFunc("/api/audit/", h.handleID("/api/audit/", h.audit))
+	const unknown = "unknown experiment %q"
+	h.mux.HandleFunc("/api/metrics/", h.handleID("/api/metrics/", observableSet, unknown, h.metrics))
+	h.mux.HandleFunc("/api/timeseries/", h.handleID("/api/timeseries/", sampledSet,
+		"%q has no time-series instrumentation", h.timeseries))
+	h.mux.HandleFunc("/api/trace/", h.handleID("/api/trace/", observableSet, unknown, h.trace))
+	h.mux.HandleFunc("/api/profile/", h.handleID("/api/profile/", observableSet, unknown, h.profile))
+	h.mux.HandleFunc("/api/exemplars/", h.handleID("/api/exemplars/", exemplarSet,
+		"%q has no exemplar instrumentation", h.exemplars))
+	h.mux.HandleFunc("/api/audit/", h.handleID("/api/audit/", auditableSet, "no audit for %q", h.audit))
 	h.mux.HandleFunc("/api/baseline/diff", h.handle(func(r *http.Request) serveEntry {
 		return h.baselineDiff()
 	}))
@@ -178,17 +180,23 @@ func fail(code int, format string, args ...any) serveEntry {
 }
 
 // handleID adapts an id-parameterized endpoint: the id is the path
-// remainder after the prefix, validated against the observable set.
-func (h *serveHandler) handleID(prefix string, fn func(id string, r *http.Request) serveEntry) http.HandlerFunc {
+// remainder after the prefix, validated against the endpoint's
+// capability set. An id with no observability capability at all is
+// unknown; one outside this endpoint's set gets its notIn reason.
+func (h *serveHandler) handleID(prefix string, set idSet, notIn string,
+	fn func(id string, r *http.Request) serveEntry) http.HandlerFunc {
 	return h.handle(func(r *http.Request) serveEntry {
 		id := strings.TrimPrefix(r.URL.Path, prefix)
 		if id == "" || strings.Contains(id, "/") {
-			return fail(http.StatusNotFound, "missing experiment id (observable: %v)", core.ObservableIDs())
+			return fail(http.StatusNotFound, "%s", observableSet.explain("missing experiment id"))
 		}
-		if !slices.Contains(core.ObservableIDs(), id) {
-			return fail(http.StatusNotFound, "unknown experiment %q (observable: %v)", id, core.ObservableIDs())
+		if set.has(id) {
+			return fn(id, r)
 		}
-		return fn(id, r)
+		if !observableSet.has(id) && !auditableSet.has(id) {
+			return fail(http.StatusNotFound, "%s", observableSet.explain("unknown experiment %q", id))
+		}
+		return fail(http.StatusNotFound, "%s", set.explain(notIn, id))
 	})
 }
 
@@ -223,16 +231,10 @@ func (h *serveHandler) experiments() serveEntry {
 		Faultable bool   `json:"faultable"`
 	}
 	var out []exp
-	for _, id := range core.ObservableIDs() {
-		title := id
-		if e, ok := core.Lookup(id); ok {
-			title = e.Title
+	for _, e := range core.All() {
+		if e.Probe != nil {
+			out = append(out, exp{ID: e.ID, Title: e.Title, Sampled: e.Probe.Sampled, Faultable: e.Probe.Faultable})
 		}
-		out = append(out, exp{
-			ID: id, Title: title,
-			Sampled:   slices.Contains(core.SampledIDs(), id),
-			Faultable: slices.Contains(core.FaultableIDs(), id),
-		})
 	}
 	body, _ := json.MarshalIndent(out, "", "  ")
 	return entry(append(body, '\n'), "application/json")
@@ -316,28 +318,12 @@ func promName(name string) string {
 // timeseries serves one sampled probe's virtual-time series as JSON —
 // the same snapshots the timeseries CLI command emits.
 func (h *serveHandler) timeseries(id string, _ *http.Request) serveEntry {
-	if !slices.Contains(core.SampledIDs(), id) {
-		return fail(http.StatusNotFound, "%q has no time-series instrumentation (sampled: %v)", id, core.SampledIDs())
-	}
 	suite, err := h.observe(id, true, h.opts.exemplars)
 	if err != nil {
 		return fail(http.StatusInternalServerError, "observe %s: %v", id, err)
 	}
-	type runSeries struct {
-		Experiment string          `json:"experiment"`
-		System     string          `json:"system"`
-		Series     *obs.TimeSeries `json:"series"`
-	}
-	out := []runSeries{}
-	for _, o := range suite.Observations {
-		for _, run := range o.Runs {
-			if run.Series != nil {
-				out = append(out, runSeries{o.ID, run.Label, run.Series})
-			}
-		}
-	}
-	body, _ := json.MarshalIndent(out, "", "  ")
-	return entry(append(body, '\n'), "application/json")
+	body, _ := seriesJSON(suite)
+	return entry(body, "application/json")
 }
 
 // trace serves one probe's span streams as Chrome trace-event JSON
@@ -385,10 +371,6 @@ func (h *serveHandler) profile(id string, r *http.Request) serveEntry {
 // lifetime (wire, RTO, queue, CPU, disk wait, disk) — the raw material
 // behind the audit's per-request checks.
 func (h *serveHandler) exemplars(id string, _ *http.Request) serveEntry {
-	if !slices.Contains(core.AuditableIDs(), id) {
-		return fail(http.StatusNotFound, "%q has no exemplar instrumentation (instrumented: %v)",
-			id, core.AuditableIDs())
-	}
 	suite, err := h.observe(id, true, h.exemplarK())
 	if err != nil {
 		return fail(http.StatusInternalServerError, "observe %s: %v", id, err)
@@ -418,12 +400,9 @@ func (h *serveHandler) exemplars(id string, _ *http.Request) serveEntry {
 	return entry(append(body, '\n'), "application/json")
 }
 
-// audit serves one scale probe's queueing-law verdict: the same reports
-// the audit CLI command produces, violations ranked worst-first.
+// audit serves one auditable experiment's invariant verdict: the same
+// reports the audit CLI command produces, violations ranked worst-first.
 func (h *serveHandler) audit(id string, _ *http.Request) serveEntry {
-	if !slices.Contains(core.AuditableIDs(), id) {
-		return fail(http.StatusNotFound, "no audit for %q (auditable: %v)", id, core.AuditableIDs())
-	}
 	ao, err := core.Audit(h.cfg, id, core.ObserveOpts{
 		Procs: h.opts.procs, Clients: h.opts.clients, Nfsd: h.opts.nfsd,
 		Window: h.opts.window, ExemplarK: h.exemplarK(),

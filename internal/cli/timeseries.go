@@ -3,7 +3,6 @@ package cli
 import (
 	"encoding/json"
 	"fmt"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -19,28 +18,17 @@ import (
 // any -j.
 func (a *App) timeseries(cfg core.Config, runner *core.Runner, ids []string,
 	opts core.ObserveOpts, format, outDir string) int {
-	sampled := core.SampledIDs()
-	if len(ids) == 0 {
-		fmt.Fprintf(a.Stderr, "pentiumbench: timeseries needs experiment ids or 'all' (sampled: %v)\n", sampled)
+	ids, ok := a.capIDs("timeseries", ids, sampledSet, "%q has no time-series instrumentation")
+	if !ok {
 		return 2
-	}
-	if len(ids) == 1 && ids[0] == "all" {
-		ids = sampled
-	}
-	for _, id := range ids {
-		if !slices.Contains(sampled, id) {
-			fmt.Fprintf(a.Stderr, "pentiumbench: %q has no time-series instrumentation (sampled: %v)\n", id, sampled)
-			return 2
-		}
 	}
 	if opts.Window <= 0 {
 		fmt.Fprintln(a.Stderr, "pentiumbench: -window must be a positive duration")
 		return 2
 	}
-	suite, err := runner.Observe(cfg, ids, opts)
-	if err != nil {
-		fmt.Fprintln(a.Stderr, "pentiumbench:", err)
-		return 2
+	suite, code := a.observeSuite(cfg, runner, ids, opts)
+	if suite == nil {
+		return code
 	}
 	switch format {
 	case "csv", "":
@@ -78,6 +66,20 @@ func (a *App) timeseriesCSV(suite *core.SuiteObservation) {
 // timeseriesJSON emits one object per sampled run, with the full
 // snapshot (counters, gauges, windowed histogram summaries).
 func (a *App) timeseriesJSON(suite *core.SuiteObservation) int {
+	body, err := seriesJSON(suite)
+	if err == nil {
+		_, err = a.Stdout.Write(body)
+	}
+	if err != nil {
+		fmt.Fprintln(a.Stderr, "pentiumbench:", err)
+		return 1
+	}
+	return 0
+}
+
+// seriesJSON renders a suite's sampled runs as the indented JSON array
+// the timeseries command and the serve endpoint share.
+func seriesJSON(suite *core.SuiteObservation) ([]byte, error) {
 	type runSeries struct {
 		Experiment string          `json:"experiment"`
 		System     string          `json:"system"`
@@ -86,19 +88,13 @@ func (a *App) timeseriesJSON(suite *core.SuiteObservation) int {
 	out := []runSeries{}
 	for _, o := range suite.Observations {
 		for _, run := range o.Runs {
-			if run.Series == nil {
-				continue
+			if run.Series != nil {
+				out = append(out, runSeries{o.ID, run.Label, run.Series})
 			}
-			out = append(out, runSeries{o.ID, run.Label, run.Series})
 		}
 	}
-	enc := json.NewEncoder(a.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fmt.Fprintln(a.Stderr, "pentiumbench:", err)
-		return 1
-	}
-	return 0
+	body, err := json.MarshalIndent(out, "", "  ")
+	return append(body, '\n'), err
 }
 
 // timeseriesSVG writes one timeline figure per experiment into dir.

@@ -4,9 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/audit"
-	"repro/internal/nfsserver"
-	"repro/internal/obs"
-	"repro/internal/osprofile"
 	"repro/internal/sim"
 )
 
@@ -29,19 +26,19 @@ func (a *AuditObservation) OK() bool {
 }
 
 // AuditableIDs returns the experiments the audit engine can evaluate:
-// the NFS scale-out probes, whose server model carries the double-entry
-// accounting the queueing-law invariants cross-check, and the SMP
-// lock-contention exhibit, whose per-CPU ledgers and lock flow counters
-// carry the DESIGN.md §16 exactness invariants.
-func AuditableIDs() []string { return []string{"S1", "S2", "L1"} }
+// those whose descriptor carries an Audit.
+func AuditableIDs() []string { return idsWhere(func(e *Experiment) bool { return e.Audit != nil }) }
 
-// Audit re-runs one experiment's scale probe per personality — the same
-// construction and seeds Observe uses, so the audited run is the
-// exhibited run — with the sampler and exemplar reservoir attached, and
-// evaluates every queueing-law invariant (DESIGN.md §15). Window
-// defaults to 100 ms and ExemplarK to 4 when unset: an audit without
-// windows or exemplars would skip most of its checks.
+// Audit re-runs one experiment's exhibited model per personality — the
+// same construction and seeds the exhibit and its probe use, so the
+// audited run is the exhibited run — and evaluates its invariants.
+// Window defaults to 100 ms and ExemplarK to 4 when unset: an audit
+// without windows or exemplars would skip most of its checks.
 func Audit(cfg Config, id string, opts ObserveOpts) (*AuditObservation, error) {
+	e, ok := Lookup(id)
+	if !ok || e.Audit == nil {
+		return nil, fmt.Errorf("core: no audit for %q (have %v)", id, AuditableIDs())
+	}
 	opts = opts.withDefaults()
 	if opts.Window <= 0 {
 		opts.Window = 100 * sim.Millisecond
@@ -49,84 +46,10 @@ func Audit(cfg Config, id string, opts ObserveOpts) (*AuditObservation, error) {
 	if opts.ExemplarK <= 0 {
 		opts.ExemplarK = 4
 	}
-	ok := false
-	for _, a := range AuditableIDs() {
-		if a == id {
-			ok = true
-		}
-	}
-	if !ok {
-		return nil, fmt.Errorf("core: no audit for %q (have %v)", id, AuditableIDs())
-	}
-	profiles := cfg.Profiles
-	if len(profiles) == 0 {
-		profiles = osprofile.Paper()
-	}
-	title := id
-	if e, found := Lookup(id); found {
-		title = e.Title
-	}
-	out := &AuditObservation{ID: id, Title: title}
-	if id == "L1" {
-		// The SMP audit re-runs the L2 sweep point (eight CPUs, the L1
-		// critical section) for both lock kinds per personality — the
-		// same construction the exhibits use — and checks the per-CPU
-		// ledger and lock flow-balance invariants. The run is a pure
-		// function of its parameters (no RNG), so the audited run is the
-		// exhibited run; fault plans have nothing to reach here.
-		for _, p := range profiles {
-			for _, kind := range lockKinds {
-				r := LockPoint(p, kind, lockSweepNCPU, lockCrit)
-				m, l := r.Machine, r.Lock
-				in := audit.SMPInput{
-					System:  fmt.Sprintf("%s %s", p, kind),
-					NCPU:    m.NCPU(),
-					Threads: len(m.Threads()),
-					Elapsed: m.Elapsed(),
-					Busy:    make([]sim.Duration, m.NCPU()),
-					Idle:    make([]sim.Duration, m.NCPU()),
-					Spin:    make([]sim.Duration, m.NCPU()),
-					Locks: []audit.LockFacts{{
-						Acquires:    l.Acquires,
-						Releases:    l.Releases,
-						Contended:   l.Contended,
-						Uncontended: l.Uncontended,
-						Blocks:      l.Blocks,
-						Wakeups:     l.Wakeups,
-						WaitCount:   l.WaitHist.N(),
-					}},
-				}
-				for c := 0; c < m.NCPU(); c++ {
-					in.Busy[c], in.Idle[c], in.Spin[c] = m.Ledger(c)
-				}
-				out.Reports = append(out.Reports, audit.EvaluateSMP(in))
-			}
-		}
-		return out, nil
-	}
-	for _, p := range profiles {
-		inj := injFor(cfg, opts, id, p)
-		srv := nfsserver.New(nfsserver.Config{
-			Profile: p,
-			Clients: opts.Clients,
-			Nfsd:    opts.Nfsd,
-			Seed:    cfg.Seed ^ saltFor("scale", p.Name, opts.Clients),
-			Faults:  inj.Net,
-		})
-		smp := obs.NewSampler(opts.Window)
-		srv.SetSampler(smp)
-		ex := exemplarsFor(cfg, opts, p)
-		srv.SetExemplars(ex)
-		res := srv.Run()
-		ts := smp.Snapshot(sim.Time(res.Elapsed))
-		out.Reports = append(out.Reports, audit.Evaluate(audit.Input{
-			System:    p.String(),
-			Res:       res,
-			Facts:     srv.Facts(),
-			Series:    &ts,
-			Exemplars: ex.Snapshot(),
-			ExemplarK: opts.ExemplarK,
-		}))
+	env := probeEnv{cfg: cfg, opts: opts, e: e}
+	out := &AuditObservation{ID: id, Title: e.Title}
+	for _, p := range profilesOf(cfg) {
+		out.Reports = append(out.Reports, e.Audit(env, p)...)
 	}
 	return out, nil
 }

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"sync"
 
+	"repro/internal/audit"
 	"repro/internal/memmodel"
 	"repro/internal/memo"
 	"repro/internal/nfsserver"
@@ -42,19 +43,11 @@ type Config struct {
 
 	// Memo, when non-nil, persists whole experiment results across suite
 	// runs: RunAll serves an experiment from the store when its key — the
-	// memo schema version, experiment ID, seed, run count, ref-model flag
-	// and the full personality set — matches a stored entry, and stores
+	// memo schema version, experiment ID, seed, run count and the full
+	// personality set — matches a stored entry, and stores
 	// fresh results for the next run. Serving from the store cannot change
 	// output: results round-trip JSON bit for bit.
 	Memo *memo.Store
-
-	// UseRefModel routes the §6 cache-hierarchy sweeps through the
-	// per-access reference hierarchy (cache.RefHierarchy) instead of the
-	// line-granular fast path, bypassing the sweep memo. Results must be
-	// bit-identical either way — the fast path's defining invariant — so
-	// the flag exists purely to certify that end to end (it is much
-	// slower; see TestMemSweepRefModelBitIdentical).
-	UseRefModel bool
 
 	// pool is the worker pool of the Runner executing this configuration.
 	// Experiments fan their per-(series, sweep-point) model runs out on it
@@ -161,6 +154,14 @@ type Experiment struct {
 	Paper string
 	// Run executes the experiment under cfg.
 	Run func(cfg Config) *Result
+	// Probe, when non-nil, observes the model Run measures (see Probe).
+	// It declares the experiment observable, and its flags declare the
+	// rest of its observability capabilities.
+	Probe *Probe
+	// Audit, when non-nil, re-runs the exhibited model for one
+	// personality and evaluates its invariants (DESIGN.md §15–16): the
+	// experiment is auditable.
+	Audit func(env probeEnv, p *osprofile.Profile) []*audit.Report
 }
 
 // registry holds all experiments in presentation order.
@@ -248,11 +249,17 @@ func Lookup(id string) (*Experiment, bool) {
 	return e, ok
 }
 
-// IDs returns all experiment IDs in order.
-func IDs() []string {
-	out := make([]string, len(registry))
-	for i, e := range registry {
-		out[i] = e.ID
+// IDs returns all experiment IDs in presentation order.
+func IDs() []string { return idsWhere(func(*Experiment) bool { return true }) }
+
+// idsWhere returns, in presentation order, the IDs of the experiments
+// whose descriptors satisfy keep.
+func idsWhere(keep func(*Experiment) bool) []string {
+	var out []string
+	for _, e := range All() {
+		if keep(e) {
+			out = append(out, e.ID)
+		}
 	}
 	return out
 }

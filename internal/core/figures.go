@@ -4,6 +4,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cache"
 	"repro/internal/memmodel"
+	"repro/internal/obs"
 	"repro/internal/osprofile"
 	"repro/internal/stats"
 )
@@ -57,6 +58,13 @@ func init() {
 			})
 			return res
 		},
+		Probe: &Probe{Sampled: true, Run: func(env probeEnv, p *osprofile.Profile) ObservedRun {
+			ob := env.observer(p)
+			_, o := ob.Ctx(plat, p, env.opts.Procs, bench.CtxRing)
+			run := benchRun(p.String(), o, "kernel.phase_us.", "")
+			run.Series = seriesOf(ob.Sampler, o.Total)
+			return run
+		}},
 	})
 
 	// Figures 2-8: the memory suite. One experiment per figure, all a
@@ -125,6 +133,9 @@ func init() {
 				res.Series = append(res.Series, s)
 				return res
 			},
+			Probe: &Probe{Hardware: true, Run: func(probeEnv, *osprofile.Profile) ObservedRun {
+				return memProbe(plat, mf.routine)
+			}},
 		})
 	}
 
@@ -225,6 +236,13 @@ func init() {
 			})
 			return res
 		},
+		Probe: &Probe{Sampled: true, Faultable: true, Run: func(env probeEnv, p *osprofile.Profile) ObservedRun {
+			ob := env.observer(p)
+			_, o := ob.Crtdel(plat, p, env.opts.FileBytes, env.cfg.Seed)
+			run := benchRun(p.String(), o, "fs.phase_us.", "")
+			run.Series = seriesOf(ob.Sampler, o.Total)
+			return run
+		}},
 	})
 
 	register(&Experiment{
@@ -265,6 +283,10 @@ func init() {
 			})
 			return res
 		},
+		Probe: &Probe{Faultable: true, Run: func(env probeEnv, p *osprofile.Profile) ObservedRun {
+			_, o := env.observer(p).TTCP(p, env.opts.PacketSize)
+			return benchRun(p.String(), o, "udp.", "_us")
+		}},
 	})
 }
 
@@ -285,4 +307,32 @@ func ctxSeries(cfg Config, p *osprofile.Profile, order bench.CtxOrder, label str
 		s.Samples[i] = noiseSample(cfg, saltFor("F1", label, i), noiseFor(p, noiseCtx), d.Microseconds())
 	})
 	return s
+}
+
+// memProbe observes one §6 routine on a 1 MB buffer: the figures' single
+// hardware curve, its cycles attributed to the cache levels, write-back
+// and loop overhead.
+func memProbe(plat bench.Platform, r memmodel.Routine) ObservedRun {
+	const size = 1 << 20
+	m := memmodel.NewModel(plat.CPU, cache.PentiumConfig())
+	pt := m.ObservedBandwidth(r, size)
+	reg := obs.NewRegistry()
+	pt.Stats.FoldStats(reg, "cache.")
+	reg.Counter("mem.mbs").Add(pt.MBs)
+	reg.Counter("mem.overlap_cycles").Add(pt.Overlap)
+	b := pt.Breakdown
+	return ObservedRun{
+		Label: "Pentium P54C-100",
+		Unit:  "cycles",
+		Rows: []PhaseRow{
+			{Name: "l1", Value: b.L1},
+			{Name: "l2", Value: b.L2},
+			{Name: "mem", Value: b.Mem},
+			{Name: "writeback", Value: b.WriteBack},
+			{Name: "overhead", Value: b.Overhead},
+		},
+		Total:   pt.SimCycles,
+		Process: obs.Process{Name: "Pentium P54C-100"},
+		Metrics: reg.Snapshot(),
+	}
 }

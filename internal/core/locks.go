@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/audit"
 	"repro/internal/bench"
 	"repro/internal/kernel"
 	"repro/internal/osprofile"
@@ -51,6 +52,42 @@ func LockPoint(p *osprofile.Profile, kind kernel.LockKind, ncpu int, crit sim.Du
 	})
 }
 
+// lockAudit re-runs the L2 sweep point (eight CPUs, the L1 critical
+// section) for both lock kinds — the same construction the exhibits use —
+// and checks the per-CPU ledger and lock flow-balance invariants. The
+// run is a pure function of its parameters (no RNG), so the audited run
+// is the exhibited run; fault plans have nothing to reach here.
+func lockAudit(_ probeEnv, p *osprofile.Profile) []*audit.Report {
+	var out []*audit.Report
+	for _, kind := range lockKinds {
+		r := LockPoint(p, kind, lockSweepNCPU, lockCrit)
+		m, l := r.Machine, r.Lock
+		in := audit.SMPInput{
+			System:  fmt.Sprintf("%s %s", p, kind),
+			NCPU:    m.NCPU(),
+			Threads: len(m.Threads()),
+			Elapsed: m.Elapsed(),
+			Busy:    make([]sim.Duration, m.NCPU()),
+			Idle:    make([]sim.Duration, m.NCPU()),
+			Spin:    make([]sim.Duration, m.NCPU()),
+			Locks: []audit.LockFacts{{
+				Acquires:    l.Acquires,
+				Releases:    l.Releases,
+				Contended:   l.Contended,
+				Uncontended: l.Uncontended,
+				Blocks:      l.Blocks,
+				Wakeups:     l.Wakeups,
+				WaitCount:   l.WaitHist.N(),
+			}},
+		}
+		for c := 0; c < m.NCPU(); c++ {
+			in.Busy[c], in.Idle[c], in.Spin[c] = m.Ledger(c)
+		}
+		out = append(out, audit.EvaluateSMP(in))
+	}
+	return out
+}
+
 func init() {
 	register(&Experiment{
 		ID:    "L1",
@@ -97,6 +134,7 @@ func init() {
 			})
 			return res
 		},
+		Audit: lockAudit,
 	})
 
 	register(&Experiment{

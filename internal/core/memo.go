@@ -25,7 +25,6 @@ type memoKeyMaterial struct {
 	ID        string          `json:"id"`
 	Seed      uint64          `json:"seed"`
 	Runs      int             `json:"runs"`
-	RefModel  bool            `json:"ref_model,omitempty"`
 	Profiles  json.RawMessage `json:"profiles"`
 	FaultPlan *fault.Plan     `json:"fault_plan,omitempty"`
 }
@@ -43,7 +42,6 @@ func memoKey(cfg Config, id string) []byte {
 		ID:       id,
 		Seed:     cfg.Seed,
 		Runs:     cfg.Runs,
-		RefModel: cfg.UseRefModel,
 		Profiles: prof.Bytes(),
 	})
 	if err != nil {

@@ -2,16 +2,11 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/cache"
 	"repro/internal/fault"
-	"repro/internal/memmodel"
-	"repro/internal/nfsserver"
 	"repro/internal/obs"
 	"repro/internal/osprofile"
 	"repro/internal/profile"
@@ -84,9 +79,8 @@ type ObserveOpts struct {
 	Clients int
 	Nfsd    int
 	// Faults, when non-nil and active, injects the plan's faults into
-	// the probes that model faultable hardware (disk, network, buffer
-	// cache): T5, T6, T7, F12 and F13. Each (experiment, personality)
-	// run forks its own injector RNG from the seed, so results are
+	// the probes in FaultableIDs. Each (experiment, personality) run
+	// forks its own injector RNG from the seed, so results are
 	// bit-identical at every worker count. Nil runs clean.
 	Faults *fault.Plan
 	// Window, when positive, attaches a virtual-time time-series
@@ -96,8 +90,8 @@ type ObserveOpts struct {
 	// builds without the sampler.
 	Window sim.Duration
 	// ExemplarK, when positive, attaches a deterministic per-window
-	// exemplar reservoir of that capacity to the probes whose models
-	// offer request lifecycles (S1/S2): each run's
+	// exemplar reservoir of that capacity to the probes in
+	// ExemplarIDs: each run's
 	// ObservedRun.Exemplars carries the tail-biased sample, the trace
 	// gains per-request tracks, and Series (when sampling is also on)
 	// attaches the exemplars to its snapshot. Windows follow
@@ -126,52 +120,75 @@ func (o ObserveOpts) withDefaults() ObserveOpts {
 	return o
 }
 
-// memRoutines maps the §6 figure IDs to their routines.
-var memRoutines = map[string]memmodel.Routine{
-	"F2": memmodel.CustomRead,
-	"F3": memmodel.Memset,
-	"F4": memmodel.NaiveWrite,
-	"F5": memmodel.PrefetchWrite,
-	"F6": memmodel.LibcMemcpy,
-	"F7": memmodel.NaiveCopy,
-	"F8": memmodel.PrefetchCopy,
+// Probe is an experiment's observability descriptor: the model workload
+// its Run measures, instrumented with spans and metrics, and the
+// instruments that model accepts. Probes and Audit functions are the one
+// source of the capability sets, each ...IDs function a filter over All.
+type Probe struct {
+	// Run observes the model for personality p (nil for a Hardware
+	// probe), with the instruments env attaches as the flags allow.
+	Run func(env probeEnv, p *osprofile.Profile) ObservedRun
+	// Hardware probes the machine alone (the §6 memory figures): Observe
+	// runs it once, not once per personality.
+	Hardware bool
+	// Sampled models keep time series; Faultable models (disk, network,
+	// buffer cache) consult the fault injectors; Exemplars models offer
+	// request lifecycles and an exact latency histogram.
+	Sampled, Faultable, Exemplars bool
+}
+
+// probeEnv is what one probe or audit run sees: the configuration, the
+// defaulted options, and the experiment whose descriptor gates the
+// instruments.
+type probeEnv struct {
+	cfg  Config
+	opts ObserveOpts
+	e    *Experiment
+}
+
+// observer builds one personality's instruments: the plan's injectors
+// for a faultable probe, a sampler for a sampled one when a window is
+// set, and otherwise the zero value every model treats as absent.
+func (env probeEnv) observer(p *osprofile.Profile) bench.Observer {
+	var o bench.Observer
+	if env.e.Probe.Faultable {
+		o.Faults = injFor(env.cfg, env.opts, env.e.ID, p)
+	}
+	if env.e.Probe.Sampled {
+		o.Sampler = samplerFor(env.opts)
+	}
+	return o
+}
+
+// profilesOf returns the personalities a probe or audit runs over: the
+// configured set, defaulting to the paper's three.
+func profilesOf(cfg Config) []*osprofile.Profile {
+	if len(cfg.Profiles) == 0 {
+		return osprofile.Paper()
+	}
+	return cfg.Profiles
+}
+
+// probesWhere filters the observable experiments by their probes.
+func probesWhere(keep func(*Probe) bool) []string {
+	return idsWhere(func(e *Experiment) bool { return e.Probe != nil && keep(e.Probe) })
 }
 
 // ObservableIDs returns the experiment IDs Observe has probes for, in
 // presentation order.
-func ObservableIDs() []string {
-	ids := []string{"T2", "T4", "T5", "T6", "T7", "F1", "F12", "F13", "S1", "S2"}
-	for id := range memRoutines {
-		ids = append(ids, id)
-	}
-	// Same precomputed rank-key sort as All: ranks are distinct across
-	// these IDs, so the order is deterministic despite the map walk.
-	keys := make([]int64, len(ids))
-	for i, id := range ids {
-		keys[i] = int64(rank(id))<<32 | int64(i)
-	}
-	slices.Sort(keys)
-	out := make([]string, len(ids))
-	for j, k := range keys {
-		out[j] = ids[k&(1<<32-1)]
-	}
-	return out
-}
+func ObservableIDs() []string { return probesWhere(func(*Probe) bool { return true }) }
 
 // SampledIDs returns the observable experiments whose probes carry
-// time-series instrumentation: the kernel scheduler (F1), the benchmark
-// disk (F12), and the NFS scale-out server (S1, S2). The other probes'
-// models have no windowed series to report.
-func SampledIDs() []string {
-	return []string{"F1", "F12", "S1", "S2"}
-}
+// time-series instrumentation.
+func SampledIDs() []string { return probesWhere(func(p *Probe) bool { return p.Sampled }) }
 
 // FaultableIDs returns the observable experiments whose probes consult
-// the fault injectors: the ones modelling disk, network or buffer-cache
-// hardware. The other probes run identically under any plan.
-func FaultableIDs() []string {
-	return []string{"T5", "T6", "T7", "F12", "F13", "S1", "S2"}
-}
+// the fault injectors.
+func FaultableIDs() []string { return probesWhere(func(p *Probe) bool { return p.Faultable }) }
+
+// ExemplarIDs returns the observable experiments whose probes offer
+// exemplar request lifecycles and a latency histogram.
+func ExemplarIDs() []string { return probesWhere(func(p *Probe) bool { return p.Exemplars }) }
 
 // rows extracts attribution rows from a snapshot: the counters carrying
 // the given prefix and suffix, with both trimmed from the row name.
@@ -204,153 +221,22 @@ func benchRun(label string, o bench.Observation, prefix, suffix string) Observed
 // Every probe is deterministic — virtual time stamps, fixed seeds — so
 // its output is bit-identical across runs and worker counts.
 func Observe(cfg Config, id string, opts ObserveOpts) (*Observation, error) {
-	opts = opts.withDefaults()
-	profiles := cfg.Profiles
-	if len(profiles) == 0 {
-		profiles = osprofile.Paper()
-	}
-	plat := bench.PaperPlatform()
-	title := id
-	if e, ok := Lookup(id); ok {
-		title = e.Title
-	}
-	out := &Observation{ID: id, Title: title}
-
-	if r, ok := memRoutines[id]; ok {
-		const size = 1 << 20
-		m := memmodel.NewModel(plat.CPU, cache.PentiumConfig())
-		pt := m.ObservedBandwidth(r, size)
-		reg := obs.NewRegistry()
-		pt.Stats.FoldStats(reg, "cache.")
-		reg.Counter("mem.mbs").Add(pt.MBs)
-		reg.Counter("mem.overlap_cycles").Add(pt.Overlap)
-		b := pt.Breakdown
-		out.Runs = append(out.Runs, ObservedRun{
-			Label: "Pentium P54C-100",
-			Unit:  "cycles",
-			Rows: []PhaseRow{
-				{Name: "l1", Value: b.L1},
-				{Name: "l2", Value: b.L2},
-				{Name: "mem", Value: b.Mem},
-				{Name: "writeback", Value: b.WriteBack},
-				{Name: "overhead", Value: b.Overhead},
-			},
-			Total:   pt.SimCycles,
-			Process: obs.Process{Name: "Pentium P54C-100"},
-			Metrics: reg.Snapshot(),
-		})
-		out.foldProfiles()
-		return out, nil
-	}
-
-	switch id {
-	case "T2":
-		for _, p := range profiles {
-			_, o := bench.GetpidObserved(plat, p)
-			out.Runs = append(out.Runs, benchRun(p.String(), o, "kernel.phase_us.", ""))
-		}
-	case "F1":
-		for _, p := range profiles {
-			smp := samplerFor(opts)
-			_, o := bench.CtxSampled(plat, p, opts.Procs, bench.CtxRing, smp)
-			run := benchRun(p.String(), o, "kernel.phase_us.", "")
-			run.Series = seriesOf(smp, o.Total)
-			out.Runs = append(out.Runs, run)
-		}
-	case "T4":
-		for _, p := range profiles {
-			_, o := bench.BwPipeObserved(plat, p)
-			out.Runs = append(out.Runs, benchRun(p.String(), o, "kernel.phase_us.", ""))
-		}
-	case "T5":
-		for _, p := range profiles {
-			_, o := bench.BwTCPObserved(p, 0, injFor(cfg, opts, id, p))
-			out.Runs = append(out.Runs, benchRun(p.String(), o, "tcp.", "_us"))
-		}
-	case "T6":
-		for _, p := range profiles {
-			_, o := bench.MABNFSObserved(p, bench.ServerLinux, bench.DefaultMAB(), cfg.Seed, injFor(cfg, opts, id, p))
-			out.Runs = append(out.Runs, benchRun(p.String(), o, "mab.phase_us.", ""))
-		}
-	case "T7":
-		for _, p := range profiles {
-			_, o := bench.MABNFSObserved(p, bench.ServerSunOS, bench.DefaultMAB(), cfg.Seed, injFor(cfg, opts, id, p))
-			out.Runs = append(out.Runs, benchRun(p.String(), o, "mab.phase_us.", ""))
-		}
-	case "F12":
-		for _, p := range profiles {
-			smp := samplerFor(opts)
-			_, o := bench.CrtdelSampled(plat, p, opts.FileBytes, cfg.Seed, injFor(cfg, opts, id, p), smp)
-			run := benchRun(p.String(), o, "fs.phase_us.", "")
-			run.Series = seriesOf(smp, o.Total)
-			out.Runs = append(out.Runs, run)
-		}
-	case "F13":
-		for _, p := range profiles {
-			_, o := bench.TTCPObserved(p, opts.PacketSize, injFor(cfg, opts, id, p))
-			out.Runs = append(out.Runs, benchRun(p.String(), o, "udp.", "_us"))
-		}
-	case "S1", "S2":
-		// Both scale exhibits probe the same server model; each
-		// personality gets one run at opts.Clients with per-nfsd-slot
-		// span tracks and the exact phase ledger as its rows.
-		for _, p := range profiles {
-			inj := injFor(cfg, opts, id, p)
-			srv := nfsserver.New(nfsserver.Config{
-				Profile: p,
-				Clients: opts.Clients,
-				Nfsd:    opts.Nfsd,
-				Seed:    cfg.Seed ^ saltFor("scale", p.Name, opts.Clients),
-				Faults:  inj.Net,
-			})
-			rec := obs.NewRing(srv.Clock(), bench.TraceRingCap)
-			srv.SetRecorder(rec)
-			smp := samplerFor(opts)
-			srv.SetSampler(smp)
-			ex := exemplarsFor(cfg, opts, p)
-			srv.SetExemplars(ex)
-			res := srv.Run()
-			exWins := ex.Snapshot()
-			// Per-request tracks ride in the same trace as the nfsd
-			// slots; appended post-run, so they cost nothing while the
-			// model runs (and nothing at all when tracing is off).
-			obs.ExemplarTracks(rec, exWins)
-			reg := obs.NewRegistry()
-			res.FoldMetrics(reg, "scale.")
-			inj.FoldMetrics(reg, "fault.")
-			led := res.Ledger
-			for _, ph := range []struct {
-				name string
-				v    sim.Duration
-			}{
-				{"wire", led.Wire}, {"rto", led.RTO},
-				{"queue_wait", led.QueueWait}, {"cpu", led.CPU},
-				{"disk_wait", led.DiskWait}, {"disk_time", led.DiskTime},
-			} {
-				reg.Counter("scale.phase_us." + ph.name).Add(ph.v.Microseconds())
-			}
-			snap := reg.Snapshot()
-			series := seriesOf(smp, res.Elapsed)
-			if series != nil {
-				series.Exemplars = exWins
-			}
-			out.Runs = append(out.Runs, ObservedRun{
-				Label:         p.String(),
-				Unit:          "µs",
-				Rows:          rows(snap, "scale.phase_us.", ""),
-				Total:         led.Sum().Microseconds(),
-				Process:       rec.Capture(fmt.Sprintf("%s %s", id, p)),
-				Metrics:       snap,
-				Series:        series,
-				Exemplars:     exWins,
-				ExemplarDrops: ex.Dropped(),
-				LatencyHist:   &res.Hist,
-			})
-		}
-	default:
+	e, ok := Lookup(id)
+	if !ok || e.Probe == nil {
 		return nil, fmt.Errorf("core: no observability probe for %q (have %v)", id, ObservableIDs())
 	}
-	out.foldProfiles()
+	env := probeEnv{cfg: cfg, opts: opts.withDefaults(), e: e}
+	profiles := profilesOf(cfg)
+	if e.Probe.Hardware {
+		profiles = []*osprofile.Profile{nil}
+	}
+	out := &Observation{ID: id, Title: e.Title}
+	for _, p := range profiles {
+		// Folding inside the probe task keeps the work parallel.
+		run := e.Probe.Run(env, p)
+		run.Profile = profile.Fold(run.Process)
+		out.Runs = append(out.Runs, run)
+	}
 	return out, nil
 }
 
@@ -396,15 +282,6 @@ func seriesOf(smp *obs.Sampler, end sim.Duration) *obs.TimeSeries {
 // zero Injectors without touching any RNG.
 func injFor(cfg Config, opts ObserveOpts, id string, p *osprofile.Profile) fault.Injectors {
 	return fault.New(opts.Faults, sim.NewRNG(cfg.Seed).Fork(saltFor(id, p.String(), 0)))
-}
-
-// foldProfiles folds each run's span stream. Called once per probe,
-// after the runs exist; per-run folding keeps the work inside the
-// parallel task.
-func (o *Observation) foldProfiles() {
-	for i := range o.Runs {
-		o.Runs[i].Profile = profile.Fold(o.Runs[i].Process)
-	}
 }
 
 // FoldMetrics adds the run's statistics — pool shape, job counts, memo
@@ -460,35 +337,15 @@ type SuiteObservation struct {
 // are merged in input order — task order, never completion order — which
 // is what makes the output independent of the worker count.
 func (r *Runner) Observe(cfg Config, ids []string, opts ObserveOpts) (*SuiteObservation, error) {
-	w := r.workers()
 	obsv := make([]*Observation, len(ids))
 	errs := make([]error, len(ids))
 	timings := make([]ExperimentTiming, len(ids))
 	start := time.Now()
-	runOne := func(i int) {
+	r.fanOut(len(ids), func(i int, _ *workPool) {
 		t0 := time.Now()
 		obsv[i], errs[i] = Observe(cfg, ids[i], opts)
 		timings[i] = ExperimentTiming{ID: ids[i], Wall: time.Since(t0)}
-	}
-	if w <= 1 {
-		for i := range ids {
-			runOne(i)
-		}
-	} else {
-		pool := newWorkPool(w)
-		var wg sync.WaitGroup
-		for i := range ids {
-			i := i
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				pool.acquire()
-				defer pool.release()
-				runOne(i)
-			}()
-		}
-		wg.Wait()
-	}
+	})
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("observe %s: %w", ids[i], err)
@@ -497,11 +354,14 @@ func (r *Runner) Observe(cfg Config, ids []string, opts ObserveOpts) (*SuiteObse
 
 	suite := &SuiteObservation{Observations: obsv, Profile: profile.New()}
 	var parts []obs.Snapshot
+	var dropped, exDropped int64
 	for _, o := range obsv {
 		for _, run := range o.Runs {
 			parts = append(parts, run.Metrics)
 			suite.Processes = append(suite.Processes, run.Process)
 			suite.Profile.Merge(run.Profile)
+			dropped += int64(run.Process.Dropped)
+			exDropped += run.ExemplarDrops
 		}
 	}
 	merged := obs.MergeSnapshots(parts...)
@@ -509,27 +369,15 @@ func (r *Runner) Observe(cfg Config, ids []string, opts ObserveOpts) (*SuiteObse
 	// Runner self-observability: real wall-clock task timings and worker
 	// utilization, kept under "runner." so determinism comparisons can
 	// exclude them.
-	st := &RunStats{Workers: w, Jobs: len(ids), Wall: time.Since(start), Experiments: timings}
+	st := &RunStats{Workers: r.workers(), Jobs: len(ids), Wall: time.Since(start), Experiments: timings}
 	reg := obs.NewRegistry()
 	st.FoldMetrics(reg, "runner.")
-	// Ring-bound trace truncation, summed across every captured process,
-	// so dropped events are visible outside `trace -format=text`. Under
-	// "runner." like the other self-metrics: the value is deterministic,
-	// but it describes the capture, not the models.
-	dropped := 0
-	for _, pr := range suite.Processes {
-		dropped += pr.Dropped
-	}
+	// Capture fidelity, summed across runs: ring-bound trace truncation
+	// (so dropped events are visible outside `trace -format=text`) and
+	// exemplar reservoir rejections. Under "runner." like the other
+	// self-metrics: the values are deterministic, but they describe the
+	// capture, not the models.
 	reg.Counter("runner.obs_dropped").Add(float64(dropped))
-	// Exemplar reservoir rejections, summed across runs — the
-	// capture-fidelity counterpart of obs_dropped for exemplar tracing
-	// (deterministic: a pure function of the offered request sets).
-	var exDropped int64
-	for _, o := range obsv {
-		for _, run := range o.Runs {
-			exDropped += run.ExemplarDrops
-		}
-	}
 	reg.Counter("runner.exemplars_dropped").Add(float64(exDropped))
 	suite.Metrics = obs.MergeSnapshots(merged, reg.Snapshot())
 	return suite, nil

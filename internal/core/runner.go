@@ -119,15 +119,9 @@ func memSweep(cfg Config, cacheCfg cache.Config, r memmodel.Routine, dist int, s
 	out := make([]bench.MemPoint, len(sizes))
 	parallelFor(cfg, len(sizes), func(i int) {
 		var mbs float64
-		switch {
-		case cfg.UseRefModel:
-			// Differential certification path: per-access reference model,
-			// no memo (the memo key does not carry the implementation, and
-			// sharing values would defeat the point of re-simulating).
-			mbs = memmodel.RefSweepPoint(cpuc, cacheCfg, r, dist, sizes[i])
-		case cfg.memo != nil:
+		if cfg.memo != nil {
 			mbs = cfg.memo.Bandwidth(cpuc, cacheCfg, r, dist, sizes[i])
-		default:
+		} else {
 			mbs = memmodel.SweepPoint(cpuc, cacheCfg, r, dist, sizes[i])
 		}
 		out[i] = bench.MemPoint{Size: sizes[i], MBs: mbs}
@@ -198,47 +192,55 @@ func (st *RunStats) Slowest(k int) []ExperimentTiming {
 	return out
 }
 
+// fanOut runs job(i) for every i in [0, n) on a pool of r's workers,
+// handing each job the pool (for its inner fan-out) and returning it. One
+// worker runs strictly serially — no pool, no goroutines: the reference
+// schedule the parallel one must reproduce.
+func (r *Runner) fanOut(n int, job func(i int, pool *workPool)) *workPool {
+	w := r.workers()
+	if w <= 1 {
+		for i := 0; i < n; i++ {
+			job(i, nil)
+		}
+		return nil
+	}
+	pool := newWorkPool(w)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pool.acquire()
+			defer pool.release()
+			job(i, pool)
+		}()
+	}
+	wg.Wait()
+	return pool
+}
+
 // RunAll executes every experiment under cfg and returns the results in
 // input order, plus the run's statistics. Results are bit-for-bit
 // identical to calling e.Run(cfg) serially for each experiment.
 func (r *Runner) RunAll(cfg Config, exps []*Experiment) ([]*Result, *RunStats) {
-	w := r.workers()
 	sweeps := memmodel.NewSweepCache()
 	cfg.memo = sweeps
 	cfg.scale = memo.NewTable[scaleKey, *nfsserver.Result]()
 	st := &RunStats{
-		Workers:     w,
+		Workers:     r.workers(),
 		Jobs:        len(exps),
 		Experiments: make([]ExperimentTiming, len(exps)),
 	}
 	results := make([]*Result, len(exps))
 	start := time.Now()
-	runOne := func(i int) {
+	pool := r.fanOut(len(exps), func(i int, pool *workPool) {
+		c := cfg
+		c.pool = pool
 		t0 := time.Now()
-		results[i] = runMemoized(cfg, exps[i])
+		results[i] = runMemoized(c, exps[i])
 		st.Experiments[i] = ExperimentTiming{ID: exps[i].ID, Wall: time.Since(t0)}
-	}
-	if w <= 1 {
-		// Strictly serial: no pool, no goroutines — the reference
-		// schedule the parallel one must reproduce.
-		for i := range exps {
-			runOne(i)
-		}
-	} else {
-		pool := newWorkPool(w)
-		cfg.pool = pool
-		var wg sync.WaitGroup
-		for i := range exps {
-			i := i
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				pool.acquire()
-				defer pool.release()
-				runOne(i)
-			}()
-		}
-		wg.Wait()
+	})
+	if pool != nil {
 		st.InnerJobs = int(pool.innerJobs.Load())
 	}
 	st.Wall = time.Since(start)

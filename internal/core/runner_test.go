@@ -202,33 +202,29 @@ func TestRunStatsSlowest(t *testing.T) {
 }
 
 // TestMemSweepRefModelBitIdentical certifies the line-granular cache fast
-// path end to end: the same sweeps the §6 figures run, re-simulated on the
-// per-access reference hierarchy (Config.UseRefModel), must reproduce the
-// fast path's bandwidths bit for bit. This is the suite-level face of the
-// differential property tests in internal/cache and internal/memmodel.
+// path end to end: the same sweeps the §6 figures run, memoized and not,
+// must reproduce point for point the bandwidths the per-access reference
+// hierarchy (memmodel.RefSweepPoint) computes, bit for bit. This is the
+// suite-level face of the differential property tests in internal/cache
+// and internal/memmodel.
 func TestMemSweepRefModelBitIdentical(t *testing.T) {
 	cfg := smallConfig()
-	refCfg := cfg
-	refCfg.UseRefModel = true
+	memoCfg := cfg
+	memoCfg.memo = memmodel.NewSweepCache()
 	sizes := []int{512, 4 << 10, 64 << 10, 512 << 10}
 	if testing.Short() {
 		sizes = sizes[:3]
 	}
+	cpuc := bench.PaperPlatform().CPU
 	for _, r := range []memmodel.Routine{memmodel.CustomRead, memmodel.Memset, memmodel.PrefetchCopy} {
 		fast := memSweep(cfg, cache.PentiumConfig(), r, memmodel.DefaultPrefetchDistance, sizes)
-		ref := memSweep(refCfg, cache.PentiumConfig(), r, memmodel.DefaultPrefetchDistance, sizes)
-		for i := range sizes {
-			if fast[i] != ref[i] {
-				t.Errorf("%v at %d bytes: fast %v, reference %v", r, sizes[i], fast[i], ref[i])
+		memoized := memSweep(memoCfg, cache.PentiumConfig(), r, memmodel.DefaultPrefetchDistance, sizes)
+		for i, size := range sizes {
+			ref := memmodel.RefSweepPoint(cpuc, cache.PentiumConfig(), r, memmodel.DefaultPrefetchDistance, size)
+			if fast[i].MBs != ref || memoized[i].MBs != ref || fast[i].Size != size {
+				t.Errorf("%v at %d bytes: fast %v, memoized %v, reference %v", r, size, fast[i], memoized[i], ref)
 			}
 		}
-	}
-	// UseRefModel must also win over an attached memo: the point of the
-	// flag is to re-simulate, not to read back memoized fast-path values.
-	refCfg.memo = memmodel.NewSweepCache()
-	memSweep(refCfg, cache.PentiumConfig(), memmodel.Memset, memmodel.DefaultPrefetchDistance, sizes[:1])
-	if st := refCfg.memo.Stats(); st.Hits != 0 || st.Misses != 0 {
-		t.Errorf("reference sweep touched the memo: %+v", st)
 	}
 }
 

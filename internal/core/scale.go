@@ -3,8 +3,11 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/audit"
+	"repro/internal/bench"
 	"repro/internal/fault"
 	"repro/internal/nfsserver"
+	"repro/internal/obs"
 	"repro/internal/osprofile"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -30,20 +33,28 @@ type scaleKey struct {
 	seed    uint64
 }
 
+// scaleServer builds one S1/S2 server-model point with the registry's
+// seeding scheme; net carries a fault plan's network injector (nil runs
+// clean). Every S1/S2 path — the exhibits' sweep, ScaleRun, the probe and
+// the audit — builds its server here, so the observed and audited runs
+// are the exhibited ones.
+func scaleServer(cfg Config, p *osprofile.Profile, clients, nfsd int, net *fault.NetInjector) *nfsserver.Server {
+	return nfsserver.New(nfsserver.Config{
+		Profile: p,
+		Clients: clients,
+		Nfsd:    nfsd,
+		Seed:    cfg.Seed ^ saltFor("scale", p.Name, clients),
+		Faults:  net,
+	})
+}
+
 // scalePoint runs (or serves from the suite cache) one server model
 // point. The model is a pure function of the key, so sharing points
 // between S1 and S2 — and between concurrent workers via the
 // single-flight table — cannot change any result.
 func scalePoint(cfg Config, p *osprofile.Profile, clients, nfsd int) *nfsserver.Result {
 	key := scaleKey{profile: p.Name, clients: clients, nfsd: nfsd, seed: cfg.Seed}
-	run := func() *nfsserver.Result {
-		return nfsserver.Run(nfsserver.Config{
-			Profile: p,
-			Clients: clients,
-			Nfsd:    nfsd,
-			Seed:    cfg.Seed ^ saltFor("scale", p.Name, clients),
-		})
-	}
+	run := func() *nfsserver.Result { return scaleServer(cfg, p, clients, nfsd, nil).Run() }
 	if cfg.scale == nil {
 		return run()
 	}
@@ -59,13 +70,77 @@ func scalePoint(cfg Config, p *osprofile.Profile, clients, nfsd int) *nfsserver.
 // changing the cache key.
 func ScaleRun(cfg Config, p *osprofile.Profile, clients, nfsd int, plan *fault.Plan) *nfsserver.Result {
 	inj := fault.New(plan, sim.NewRNG(cfg.Seed).Fork(saltFor("scale", p.String(), clients)))
-	return nfsserver.Run(nfsserver.Config{
-		Profile: p,
-		Clients: clients,
-		Nfsd:    nfsd,
-		Seed:    cfg.Seed ^ saltFor("scale", p.Name, clients),
-		Faults:  inj.Net,
-	})
+	return scaleServer(cfg, p, clients, nfsd, inj.Net).Run()
+}
+
+// scaleProbe observes one personality's server at opts.Clients: per
+// nfsd-slot span tracks, the exact phase ledger as its rows, and (when
+// enabled) the time series, exemplars and latency histogram.
+func scaleProbe(env probeEnv, p *osprofile.Profile) ObservedRun {
+	ob := env.observer(p)
+	srv := scaleServer(env.cfg, p, env.opts.Clients, env.opts.Nfsd, ob.Faults.Net)
+	rec := obs.NewRing(srv.Clock(), bench.TraceRingCap)
+	srv.SetRecorder(rec)
+	srv.SetSampler(ob.Sampler)
+	ex := exemplarsFor(env.cfg, env.opts, p)
+	srv.SetExemplars(ex)
+	res := srv.Run()
+	exWins := ex.Snapshot()
+	// Per-request tracks ride in the same trace as the nfsd slots;
+	// appended post-run, so they cost nothing while the model runs (and
+	// nothing at all when tracing is off).
+	obs.ExemplarTracks(rec, exWins)
+	reg := obs.NewRegistry()
+	res.FoldMetrics(reg, "scale.")
+	ob.Faults.FoldMetrics(reg, "fault.")
+	led := res.Ledger
+	for _, ph := range []struct {
+		name string
+		v    sim.Duration
+	}{
+		{"wire", led.Wire}, {"rto", led.RTO},
+		{"queue_wait", led.QueueWait}, {"cpu", led.CPU},
+		{"disk_wait", led.DiskWait}, {"disk_time", led.DiskTime},
+	} {
+		reg.Counter("scale.phase_us." + ph.name).Add(ph.v.Microseconds())
+	}
+	snap := reg.Snapshot()
+	series := seriesOf(ob.Sampler, res.Elapsed)
+	if series != nil {
+		series.Exemplars = exWins
+	}
+	return ObservedRun{
+		Label:         p.String(),
+		Unit:          "µs",
+		Rows:          rows(snap, "scale.phase_us.", ""),
+		Total:         led.Sum().Microseconds(),
+		Process:       rec.Capture(fmt.Sprintf("%s %s", env.e.ID, p)),
+		Metrics:       snap,
+		Series:        series,
+		Exemplars:     exWins,
+		ExemplarDrops: ex.Dropped(),
+		LatencyHist:   &res.Hist,
+	}
+}
+
+// scaleAudit re-runs the probe's server without a recorder, its sampler
+// and exemplar reservoir attached, and evaluates every queueing-law
+// invariant (DESIGN.md §15) against its double-entry accounting.
+func scaleAudit(env probeEnv, p *osprofile.Profile) []*audit.Report {
+	ob := env.observer(p)
+	srv := scaleServer(env.cfg, p, env.opts.Clients, env.opts.Nfsd, ob.Faults.Net)
+	srv.SetSampler(ob.Sampler)
+	ex := exemplarsFor(env.cfg, env.opts, p)
+	srv.SetExemplars(ex)
+	res := srv.Run()
+	return []*audit.Report{audit.Evaluate(audit.Input{
+		System:    p.String(),
+		Res:       res,
+		Facts:     srv.Facts(),
+		Series:    seriesOf(ob.Sampler, res.Elapsed),
+		Exemplars: ex.Snapshot(),
+		ExemplarK: env.opts.ExemplarK,
+	})}
 }
 
 // scaleQuantiles is the percentile set S2 reports.
@@ -77,6 +152,10 @@ var scaleQuantiles = []struct {
 	{"p99", 0.99},
 	{"p999", 0.999},
 }
+
+// scaleProbeDesc is the probe both scale exhibits share: one server
+// model, observed per personality at ObserveOpts.Clients.
+var scaleProbeDesc = &Probe{Sampled: true, Faultable: true, Exemplars: true, Run: scaleProbe}
 
 func init() {
 	register(&Experiment{
@@ -113,6 +192,8 @@ func init() {
 			})
 			return res
 		},
+		Probe: scaleProbeDesc,
+		Audit: scaleAudit,
 	})
 
 	register(&Experiment{
@@ -162,5 +243,7 @@ func init() {
 			})
 			return res
 		},
+		Probe: scaleProbeDesc,
+		Audit: scaleAudit,
 	})
 }

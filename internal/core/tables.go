@@ -42,15 +42,17 @@ var (
 )
 
 // tableExperiment builds a one-value-per-OS experiment from a model
-// function returning the deterministic mean for one OS.
+// function returning the deterministic mean for one OS, and the model's
+// observability probe (nil for none).
 func tableExperiment(id, title, paperRef, unit string, dir stats.Direction,
 	area noiseArea, expected []Expectation, notes []string,
-	model func(cfg Config, p *osprofile.Profile, runIdx int) float64) *Experiment {
+	model func(cfg Config, p *osprofile.Profile, runIdx int) float64, probe *Probe) *Experiment {
 	return &Experiment{
 		ID:    id,
 		Title: title,
 		Kind:  Table,
 		Paper: paperRef,
+		Probe: probe,
 		Run: func(cfg Config) *Result {
 			res := &Result{
 				ID: id, Title: title, Kind: Table,
@@ -84,7 +86,11 @@ func init() {
 		},
 		func(cfg Config, p *osprofile.Profile, _ int) float64 {
 			return bench.Getpid(plat, p).Microseconds()
-		}))
+		},
+		&Probe{Run: func(env probeEnv, p *osprofile.Profile) ObservedRun {
+			_, o := env.observer(p).Getpid(plat, p)
+			return benchRun(p.String(), o, "kernel.phase_us.", "")
+		}}))
 
 	register(tableExperiment(
 		"T3", "MAB Local", "Table 3, §8.1",
@@ -96,7 +102,7 @@ func init() {
 		},
 		func(cfg Config, p *osprofile.Profile, _ int) float64 {
 			return bench.MAB(plat, p, bench.DefaultMAB(), cfg.Seed).Total.Seconds()
-		}))
+		}, nil))
 
 	register(tableExperiment(
 		"T4", "Pipe Bandwidth (bw_pipe)", "Table 4, §9.1",
@@ -107,7 +113,11 @@ func init() {
 		},
 		func(cfg Config, p *osprofile.Profile, _ int) float64 {
 			return bench.BwPipe(plat, p)
-		}))
+		},
+		&Probe{Run: func(env probeEnv, p *osprofile.Profile) ObservedRun {
+			_, o := env.observer(p).BwPipe(plat, p)
+			return benchRun(p.String(), o, "kernel.phase_us.", "")
+		}}))
 
 	register(tableExperiment(
 		"T5", "TCP Bandwidth (bw_tcp)", "Table 5, §9.3",
@@ -118,7 +128,11 @@ func init() {
 		},
 		func(cfg Config, p *osprofile.Profile, _ int) float64 {
 			return bench.BwTCP(p, 0)
-		}))
+		},
+		&Probe{Faultable: true, Run: func(env probeEnv, p *osprofile.Profile) ObservedRun {
+			_, o := env.observer(p).BwTCP(p, 0)
+			return benchRun(p.String(), o, "tcp.", "_us")
+		}}))
 
 	register(tableExperiment(
 		"T6", "MAB over NFS, Linux 1.2.8 server", "Table 6, §10",
@@ -129,7 +143,8 @@ func init() {
 		},
 		func(cfg Config, p *osprofile.Profile, _ int) float64 {
 			return bench.MABNFS(p, bench.ServerLinux, bench.DefaultMAB(), cfg.Seed).Total.Seconds()
-		}))
+		},
+		mabNFSProbe(bench.ServerLinux)))
 
 	register(tableExperiment(
 		"T7", "MAB over NFS, SunOS 4.1.4 server", "Table 7, §10",
@@ -140,5 +155,16 @@ func init() {
 		},
 		func(cfg Config, p *osprofile.Profile, _ int) float64 {
 			return bench.MABNFS(p, bench.ServerSunOS, bench.DefaultMAB(), cfg.Seed).Total.Seconds()
-		}))
+		},
+		mabNFSProbe(bench.ServerSunOS)))
+}
+
+// mabNFSProbe observes MAB over NFS against one server (T6, T7): the
+// per-phase times are its rows, and the plan's network faults ride the
+// mount's RPC path while disk and cache faults ride the server.
+func mabNFSProbe(kind bench.NFSServerKind) *Probe {
+	return &Probe{Faultable: true, Run: func(env probeEnv, p *osprofile.Profile) ObservedRun {
+		_, o := env.observer(p).MABNFS(p, kind, bench.DefaultMAB(), env.cfg.Seed)
+		return benchRun(p.String(), o, "mab.phase_us.", "")
+	}}
 }

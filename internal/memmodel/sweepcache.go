@@ -21,7 +21,8 @@ func SweepPoint(c cpu.CPU, cfg cache.Config, r Routine, dist, size int) float64 
 // RefSweepPoint computes the same sweep point on the per-access reference
 // hierarchy (cache.RefHierarchy). It must return a value bit-identical to
 // SweepPoint's — that invariant is what certifies the fast path, and
-// core's UseRefModel plumbing exercises it across whole suite sweeps.
+// core's TestMemSweepRefModelBitIdentical checks it against whole suite
+// sweeps.
 func RefSweepPoint(c cpu.CPU, cfg cache.Config, r Routine, dist, size int) float64 {
 	m := NewRefModel(c, cfg)
 	m.PrefetchDistance = dist

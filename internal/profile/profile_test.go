@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/osprofile"
 	"repro/internal/sim"
@@ -300,7 +299,7 @@ func TestFoldRealObservedRun(t *testing.T) {
 // functions of the capture.
 func TestFoldDeterministicBytes(t *testing.T) {
 	render := func() (string, string, string) {
-		_, o := bench.CrtdelObserved(bench.PaperPlatform(), osprofile.Paper()[1], 64<<10, 1, fault.Injectors{})
+		_, o := bench.Observer{}.Crtdel(bench.PaperPlatform(), osprofile.Paper()[1], 64<<10, 1)
 		p := Fold(o.Process)
 		var folded, top, pb strings.Builder
 		if err := p.WriteFolded(&folded); err != nil {
